@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .primes import is_prime
+from .primes import is_prime, is_squarefree
 
 
 def kronecker(a: int, n: int) -> int:
@@ -49,25 +49,15 @@ def legendre(a: int, p: int) -> int:
     return r - p if r > 1 else r
 
 
-def _squarefree_abs(n: int) -> bool:
-    n = abs(n)
-    i = 2
-    while i * i <= n:
-        if n % (i * i) == 0:
-            return False
-        i += 1
-    return True
-
-
 def is_fundamental_discriminant(n: int) -> bool:
     """True for discriminants of quadratic fields (the sentinel 1 is excluded)."""
     if n == 0 or n == 1:
         return False
     if n % 4 == 1:  # Python mod keeps this correct for negative n
-        return _squarefree_abs(n)
+        return is_squarefree(abs(n))
     if n % 4 == 0:
         m = n // 4
-        return m % 4 in (2, 3) and _squarefree_abs(m)
+        return m % 4 in (2, 3) and is_squarefree(abs(m))
     return False
 
 
@@ -171,8 +161,6 @@ def split_character(d: int, p: int, check: bool = True) -> CharacterSplit:
     With check=True the defining pointwise identity
     chi_D(a) = (a/p) * psi(a) is verified for every a = 1..D coprime to D.
     """
-    from .quadfield import is_squarefree  # local import to avoid a cycle
-
     if p <= 3 or not is_prime(p):
         raise ValueError(f"split needs a prime p > 3, got {p}")
     if d <= 1 or d % p != 0:

@@ -27,32 +27,15 @@ from .lseries import (
     a_coefficients_direct,
 )
 from .padic import vp
-from .primes import factorize
+from .primes import factorize, is_prime
 from .quadfield import class_number, fundamental_unit
 from .reports import CSV_HEADER, CongruenceReport, rational_str
-from .suite import (
-    DETECTORS,
-    LEHMER_THM2,
-    THM1,
-    THM3,
-    ScanConfig,
-    run_instance,
-    scan,
-)
+from .suite import DETECTORS, REGISTRY, ScanConfig, run_instance, scan
 
 CACHE_FILE = "bernoulli-cache-v1.json"
 CACHE_VERSION = 1
 
-_STATEMENT_NAMES = {
-    "aac": "AAC_CLASSICAL",
-    "thm1": "THM1",
-    "cor-exact-div": "COR_EXACT_DIV",
-    "super-aacm": "SUPER_AACM_CRIT",
-    "lehmer2": "LEHMER_THM2",
-    "lehmer-diff": "LEHMER_DIFF",
-    "thm3": "THM3",
-    "super-wilson": "SUPER_WILSON_CRIT",
-}
+_STATEMENT_NAMES = {s.cli_name: s.id for s in REGISTRY.values()}
 
 # Reproduction targets: (d, factorization, h, p, v_p(u), long_running)
 TABLE1_ROWS = (
@@ -118,7 +101,7 @@ def _entry_valid(n, disc, num, den) -> bool:
             return (num, den) == (0, 1)
         expected_den = 1
         for q in range(2, n + 2):
-            if n % (q - 1) == 0 and all(q % r for r in range(2, int(q ** 0.5) + 1)):
+            if n % (q - 1) == 0 and is_prime(q):
                 expected_den *= q
         if den != expected_den:
             return False
@@ -211,7 +194,7 @@ def _render_reports(reports: list[CongruenceReport], fmt: str,
 
 
 def _is_advisory(report: CongruenceReport) -> bool:
-    return report.statement_id == THM1 and report.p == 5
+    return REGISTRY[report.statement_id].advisory_p == report.p
 
 
 def scan_exit_code(statement: str, verdicts: list[tuple[bool, bool]], n_errors: int) -> int:
@@ -233,21 +216,19 @@ def scan_exit_code(statement: str, verdicts: list[tuple[bool, bool]], n_errors: 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    stmt = _STATEMENT_NAMES[args.statement]
-    needs_d = stmt in ("THM1", "COR_EXACT_DIV", "SUPER_AACM_CRIT")
-    needs_k = stmt in (LEHMER_THM2, THM3)
+    st = REGISTRY[_STATEMENT_NAMES[args.statement]]
     if args.p is None:
         print("error: --p is required", file=sys.stderr)
         return 2
-    if needs_d and args.d is None:
+    if st.takes_d and args.d is None:
         print(f"error: {args.statement} needs --d", file=sys.stderr)
         return 2
-    if needs_k and args.k is None:
+    if st.takes_k and args.k is None:
         print(f"error: {args.statement} needs --k", file=sys.stderr)
         return 2
     if args.cache_dir:
         load_cache(args.cache_dir)
-    instance = (stmt, args.d if needs_d else None, args.p, args.k if needs_k else None)
+    instance = (st.id, args.d if st.takes_d else None, args.p, args.k if st.takes_k else None)
     try:
         report = run_instance(instance)
     except (ValueError, ArithmeticError) as exc:
@@ -279,7 +260,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             p_max=args.p_max,
             k_max=args.k_max,
             include_p5=args.include_p5,
-            long_running=args.long_running,
             jobs=args.jobs,
             kappa=args.kappa,
         )
@@ -324,11 +304,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         fac_got = factorize(d)
         unit = fundamental_unit(d)
         h_got, _ = class_number(d)
-        v_got = 0
-        uu = unit.u
-        while uu % p == 0:
-            uu //= p
-            v_got += 1
+        v_got = vp(unit.u, p)
         ok = fac_got == fac and h_got == h_ref and v_got == vpu_ref
         lines.append(json.dumps({
             "d": d,
@@ -459,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--k-max", type=int, default=5)
     ps.add_argument("--jobs", type=int, default=1)
     ps.add_argument("--kappa", type=int, default=2)
+    advisory = "/".join(s.cli_name for s in REGISTRY.values() if s.advisory_p == 5)
     ps.add_argument("--include-p5", action="store_true",
-                    help="add advisory p=5 instances to thm1 scans")
-    ps.add_argument("--long-running", action="store_true")
+                    help=f"add advisory p=5 instances to {advisory} scans")
     _add_common(ps)
     ps.set_defaults(func=_cmd_scan)
 

@@ -74,6 +74,12 @@ def factorize(n: int) -> dict[int, int]:
     return fac
 
 
+def is_squarefree(d: int) -> bool:
+    if d < 1:
+        raise ValueError("is_squarefree expects a positive integer")
+    return all(e == 1 for e in factorize(d).values()) if d > 1 else True
+
+
 def divisors(fac: dict[int, int]) -> list[int]:
     """All positive divisors from a factorization map (unsorted)."""
     divs = [1]

@@ -4,8 +4,8 @@ Everything is integer arithmetic.  Units come from the continued fraction
 of sqrt(d) (or (1+sqrt(d))/2 when d = 1 mod 4, which is essential: the
 sqrt(d) expansion can return the cube of the fundamental unit there).
 Class numbers come from counting reduction cycles of indefinite binary
-quadratic forms, a route that shares no code with the congruence
-machinery it later gets compared against.
+quadratic forms, a route that shares no code with the unit computation
+or with the congruence machinery it later gets compared against.
 """
 from __future__ import annotations
 
@@ -13,18 +13,8 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, NamedTuple
 
-from .primes import divisors, factorize, is_prime, primes_up_to, sqrt_mod_prime
-
-try:  # big-d unit computation benefits from fast multiplication
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - optional accelerator
-    mpz = int
-
-
-def is_squarefree(d: int) -> bool:
-    if d < 1:
-        raise ValueError("is_squarefree expects a positive integer")
-    return all(e == 1 for e in factorize(d).values()) if d > 1 else True
+from .padic import vp
+from .primes import divisors, is_prime, is_squarefree, primes_up_to, sqrt_mod_prime
 
 
 def invariants_shell(d: int) -> tuple[int, int]:
@@ -82,13 +72,13 @@ def fundamental_unit(d: int) -> UnitData:
     states = _cf_states(d, s, delta)
     next(states)  # the aperiodic head a_0
     P1, Q1, a1 = next(states)
-    batch: list[tuple] = [(mpz(a1), mpz(1), mpz(1), mpz(0))]
+    batch: list[tuple] = [(a1, 1, 1, 0)]
     stack: list[tuple] = []
     period = 1
     for P, Q, a in states:
         if (P, Q) == (P1, Q1):
             break
-        batch.append((mpz(a), mpz(1), mpz(1), mpz(0)))
+        batch.append((a, 1, 1, 0))
         period += 1
         if len(batch) >= 2048:
             stack.append(_product_tree(batch))
@@ -96,8 +86,8 @@ def fundamental_unit(d: int) -> UnitData:
     if batch:
         stack.append(_product_tree(batch))
     _A, _B, C, E = _product_tree(stack) if len(stack) > 1 else stack[0]
-    x = int(C * P1 + E * Q1)
-    y = int(C)
+    x = C * P1 + E * Q1
+    y = C
     if delta == 2:
         t, u = x // Q1, y // Q1
         ok = x % Q1 == 0 and y % Q1 == 0
@@ -112,14 +102,7 @@ def fundamental_unit(d: int) -> UnitData:
 
 def vp_u(d: int, p: int) -> int:
     """p-adic valuation of the u-coefficient of the fundamental unit."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    u = fundamental_unit(d).u
-    v = 0
-    while u % p == 0:
-        u //= p
-        v += 1
-    return v
+    return vp(fundamental_unit(d).u, p)
 
 
 # -- binary quadratic forms --------------------------------------------------
@@ -248,31 +231,34 @@ def class_number(d: int) -> ClassNumber:
     """(h, h+) by partitioning the reduced forms of disc(Q(sqrt d)) into cycles.
 
     h+ is the number of reduction cycles; h = h+ when the fundamental unit
-    has norm -1 and h+/2 otherwise.
+    has norm -1 and h+/2 otherwise.  The norm is read off the same cycles
+    without computing the unit: N(eps) = -1 exactly when the principal
+    form (1, b0, c0) and its negative (-1, b0, -c0) share a cycle.
     """
     delta, D = invariants_shell(d)
     s = isqrt(D)
     forms = _reduced_forms(D)
-    visited: set[tuple[int, int, int]] = set()
+    cycle_of: dict[tuple[int, int, int], int] = {}
     cycles = 0
     for f in forms:
-        if f in visited:
+        if f in cycle_of:
             continue
         cycles += 1
         g = f
         while True:
-            visited.add(g)
+            cycle_of[g] = cycles
             a, b, c = g
             m = 2 * abs(c)
             b2 = s - ((s + b) % m)
             g = (c, b2, (b2 * b2 - D) // (4 * c))
             if g == f:
                 break
-    if visited != forms:
+    if cycle_of.keys() != forms:
         raise AssertionError(f"reduction cycles do not partition the reduced forms for d = {d}")
     h_plus = cycles
-    norm = fundamental_unit(d).norm
-    if norm == -1:
+    b0 = s if (s - D) % 2 == 0 else s - 1
+    c0 = (b0 * b0 - D) // 4
+    if cycle_of[(1, b0, c0)] == cycle_of[(-1, b0, -c0)]:
         return ClassNumber(h=h_plus, h_plus=h_plus)
     if h_plus % 2:
         raise AssertionError(f"narrow class number {h_plus} should be even when N(eps) = +1")

@@ -25,13 +25,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import get_context
+from typing import Callable
 
 from .bernoulli import BernoulliCache, DEFAULT_CACHE
 from .characters import split_character
 from .lseries import wilson_quotient
-from .padic import unit_log_series
-from .primes import is_prime, primes_up_to
-from .quadfield import class_number, fundamental_unit, is_squarefree, vp_u
+from .padic import unit_log_series, vp
+from .primes import is_prime, is_squarefree, primes_up_to
+from .quadfield import class_number, fundamental_unit, vp_u
 from .reports import CongruenceReport, make_report
 
 AAC_CLASSICAL = "AAC_CLASSICAL"
@@ -42,20 +43,6 @@ LEHMER_THM2 = "LEHMER_THM2"
 LEHMER_DIFF = "LEHMER_DIFF"
 THM3 = "THM3"
 SUPER_WILSON_CRIT = "SUPER_WILSON_CRIT"
-
-STATEMENTS = (
-    AAC_CLASSICAL,
-    THM1,
-    COR_EXACT_DIV,
-    SUPER_AACM_CRIT,
-    LEHMER_THM2,
-    LEHMER_DIFF,
-    THM3,
-    SUPER_WILSON_CRIT,
-)
-
-# detector statements: "holds" is the anomaly, not the expectation
-DETECTORS = frozenset({SUPER_AACM_CRIT, SUPER_WILSON_CRIT})
 
 
 def _require_split_shape(d: int, p: int, p_floor: int) -> None:
@@ -119,11 +106,7 @@ def check_corollary_exact_division(
     _require_split_shape(d, p, p_floor=5)
     c = cache or DEFAULT_CACHE
     unit = fundamental_unit(d)
-    v = 0
-    uu = unit.u
-    while uu % p == 0:
-        uu //= p
-        v += 1
+    v = vp(unit.u, p)
     if v != 1:
         raise ValueError(f"statement needs v_p(u) = 1; v_{p}(u) = {v} for d = {d}")
     split = split_character(d, p, check=False)
@@ -220,6 +203,60 @@ def check_super_wilson_criterion(p: int, cache: BernoulliCache | None = None) ->
     return make_report(SUPER_WILSON_CRIT, lhs, rhs, p, depth=2, started=t0)
 
 
+# -- the statement table ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Statement:
+    """Everything the scans and the CLI know about one named congruence.
+
+    `check` takes (d, p), (p, k) or (p) as `takes_d` / `takes_k` say.  A
+    scan offers it the primes p_min <= p <= p_max passing `p_ok`, and for
+    `takes_d` statements every squarefree d = p m > 5 (p not dividing m)
+    up to d_max that `admits` accepts.  A detector's "holds" is the
+    anomaly, not the expectation.  Rows at `advisory_p` are reported but
+    never gate.  `kappa_alert` scans flag v_p(u) >= kappa.
+    """
+
+    id: str
+    cli_name: str
+    check: Callable[..., CongruenceReport]
+    p_ok: Callable[[int], bool]
+    takes_d: bool = False
+    takes_k: bool = False
+    admits: Callable[[int, int], bool] | None = None
+    detector: bool = False
+    advisory_p: int | None = None
+    kappa_alert: bool = False
+
+
+REGISTRY: dict[str, Statement] = {s.id: s for s in (
+    Statement(AAC_CLASSICAL, "aac", check_aac_classical,
+              p_ok=lambda p: p % 4 == 1 and p >= 5),
+    Statement(THM1, "thm1", check_theorem1, p_ok=lambda p: p >= 7, takes_d=True,
+              advisory_p=5, kappa_alert=True),
+    Statement(COR_EXACT_DIV, "cor-exact-div", check_corollary_exact_division,
+              p_ok=lambda p: p >= 7, takes_d=True, admits=lambda d, p: vp_u(d, p) == 1),
+    Statement(SUPER_AACM_CRIT, "super-aacm", check_super_aacm_criterion,
+              p_ok=lambda p: p >= 7, takes_d=True, detector=True, kappa_alert=True),
+    Statement(LEHMER_THM2, "lehmer2", check_lehmer_thm2, p_ok=lambda p: p >= 3, takes_k=True),
+    Statement(LEHMER_DIFF, "lehmer-diff", check_lehmer_diff, p_ok=lambda p: p >= 3),
+    Statement(THM3, "thm3", check_theorem3, p_ok=lambda p: p > 5, takes_k=True),
+    Statement(SUPER_WILSON_CRIT, "super-wilson", check_super_wilson_criterion,
+              p_ok=lambda p: p > 3, detector=True),
+)}
+
+STATEMENTS = tuple(REGISTRY)
+DETECTORS = frozenset(s.id for s in REGISTRY.values() if s.detector)
+
+
+def lookup(statement_id: str) -> Statement:
+    """The table row of a statement id; ValueError for an unknown id."""
+    if statement_id not in REGISTRY:
+        raise ValueError(f"unknown statement {statement_id!r}")
+    return REGISTRY[statement_id]
+
+
 # -- scans --------------------------------------------------------------------
 
 
@@ -233,13 +270,11 @@ class ScanConfig:
     p_max: int | None = None
     k_max: int = 5
     include_p5: bool = False
-    long_running: bool = False
     jobs: int = 1
     kappa: int = 2
 
     def __post_init__(self) -> None:
-        if self.statement not in STATEMENTS:
-            raise ValueError(f"unknown statement {self.statement!r}")
+        lookup(self.statement)
         if self.kappa < 2:
             raise ValueError("kappa must be >= 2")
         if self.jobs < 1:
@@ -258,56 +293,27 @@ def _squarefree_pm_grid(d_max: int, ps: list[int]) -> list[tuple[int, int]]:
 
 def build_instances(cfg: ScanConfig) -> list[tuple]:
     """The deterministic instance list for a scan config."""
-    stmt = cfg.statement
-    if stmt in (THM1, SUPER_AACM_CRIT, COR_EXACT_DIV):
-        if cfg.d_max is None or cfg.p_max is None:
-            raise ValueError(f"{stmt} scans need d_max and p_max")
-        p_lo = max(cfg.p_min, 7)
-        ps = [p for p in primes_up_to(cfg.p_max) if p >= p_lo]
-        if stmt == THM1 and cfg.include_p5 and cfg.p_max >= 5:
-            ps = [5] + ps  # advisory instances, outside the default gate
-        grid = _squarefree_pm_grid(cfg.d_max, ps)
-        if stmt == COR_EXACT_DIV:
-            grid = [(d, p) for (d, p) in grid if vp_u(d, p) == 1]
-        return [(stmt, d, p, None) for d, p in grid]
+    st = lookup(cfg.statement)
+    if st.takes_d and (cfg.d_max is None or cfg.p_max is None):
+        raise ValueError(f"{st.id} scans need d_max and p_max")
     if cfg.p_max is None:
-        raise ValueError(f"{stmt} scans need p_max")
-    primes = [p for p in primes_up_to(cfg.p_max) if p >= cfg.p_min]
-    if stmt == AAC_CLASSICAL:
-        return [(stmt, None, p, None) for p in primes if p % 4 == 1 and p >= 5]
-    if stmt == LEHMER_THM2:
-        return [(stmt, None, p, k) for p in primes if p >= 3
-                for k in range(1, cfg.k_max + 1)]
-    if stmt == LEHMER_DIFF:
-        return [(stmt, None, p, None) for p in primes if p >= 3]
-    if stmt == THM3:
-        return [(stmt, None, p, k) for p in primes if p > 5
-                for k in range(1, cfg.k_max + 1)]
-    if stmt == SUPER_WILSON_CRIT:
-        return [(stmt, None, p, None) for p in primes if p > 3]
-    raise ValueError(f"unknown statement {stmt!r}")
+        raise ValueError(f"{st.id} scans need p_max")
+    ps = [p for p in primes_up_to(cfg.p_max) if p >= cfg.p_min and st.p_ok(p)]
+    if cfg.include_p5 and st.advisory_p is not None and cfg.p_max >= st.advisory_p:
+        ps = [st.advisory_p] + ps  # advisory instances, outside the default gate
+    if st.takes_d:
+        return [(st.id, d, p, None) for d, p in _squarefree_pm_grid(cfg.d_max, ps)
+                if st.admits is None or st.admits(d, p)]
+    ks = range(1, cfg.k_max + 1) if st.takes_k else (None,)
+    return [(st.id, None, p, k) for p in ps for k in ks]
 
 
 def run_instance(instance: tuple) -> CongruenceReport:
     """Evaluate one (statement, d, p, k) instance against the default cache."""
     stmt, d, p, k = instance
-    if stmt == AAC_CLASSICAL:
-        return check_aac_classical(p)
-    if stmt == THM1:
-        return check_theorem1(d, p)
-    if stmt == COR_EXACT_DIV:
-        return check_corollary_exact_division(d, p)
-    if stmt == SUPER_AACM_CRIT:
-        return check_super_aacm_criterion(d, p)
-    if stmt == LEHMER_THM2:
-        return check_lehmer_thm2(p, k)
-    if stmt == LEHMER_DIFF:
-        return check_lehmer_diff(p)
-    if stmt == THM3:
-        return check_theorem3(p, k)
-    if stmt == SUPER_WILSON_CRIT:
-        return check_super_wilson_criterion(p)
-    raise ValueError(f"unknown statement {stmt!r}")
+    st = lookup(stmt)
+    args = ((d,) if st.takes_d else ()) + (p,) + ((k,) if st.takes_k else ())
+    return st.check(*args)
 
 
 def _worker(instance: tuple):
@@ -361,7 +367,7 @@ def scan(cfg: ScanConfig, cache: BernoulliCache | None = None) -> ScanResult:
     result.reports.sort(key=lambda r: r.sort_key())
     # weak-divisibility alert: d^kappa | u never expected; surface any
     # p-power divisibility of u at or beyond the configured kappa
-    if cfg.statement in (THM1, SUPER_AACM_CRIT):
+    if lookup(cfg.statement).kappa_alert:
         for rep in result.reports:
             if rep.d is not None:
                 v = vp_u(rep.d, rep.p)

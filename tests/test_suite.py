@@ -276,3 +276,18 @@ def test_worker_error_aggregation():
     assert err is not None and "UNKNOWN" in err
     report, entries, err = _worker((AAC_CLASSICAL, None, 13, None))
     assert err is None and report.holds
+
+
+def test_registry_grids_match_check_guards():
+    """Every instance a statement's grid rule yields passes its check's own
+    input guard, and the CLI names cover exactly the registered statements."""
+    from quadcong.cli import _STATEMENT_NAMES
+    from quadcong.suite import REGISTRY, STATEMENTS
+
+    assert set(_STATEMENT_NAMES.values()) == set(STATEMENTS)
+    for stmt in REGISTRY:
+        cfg = ScanConfig(statement=stmt, d_max=60, p_min=3, p_max=23, k_max=2, include_p5=True)
+        instances = build_instances(cfg)
+        assert instances, stmt
+        for inst in instances:
+            assert run_instance(inst).statement_id == stmt, inst

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .characters import QuadChar, char_values
@@ -27,8 +28,9 @@ from .reports import CongruenceReport, make_report
 class BernoulliCache:
     """Exact cache of B_n and B_{n,chi} keyed by (n, discriminant-or-None).
 
-    Reads are lock-free; writes are serialized so concurrent scan workers
-    can share one instance.  Entries are never evicted.
+    Reads are lock-free; writes are serialized so threads can share one
+    instance.  Scan workers are forked processes, each with its own copy.
+    Entries are never evicted.
     """
 
     def __init__(self) -> None:
@@ -45,25 +47,28 @@ class BernoulliCache:
     def get(self, n: int, disc: int | None) -> Fraction | None:
         return self._values.get((n, disc))
 
-    def put(self, n: int, disc: int | None, value: Fraction) -> None:
-        with self._lock:
-            self._values[(n, disc)] = value
-
     def entries(self) -> list[tuple[int, int | None, Fraction]]:
         with self._lock:
             return [(n, disc, v) for (n, disc), v in sorted(
                 self._values.items(), key=lambda kv: (kv[0][1] is not None, kv[0][1] or 0, kv[0][0])
             )]
 
-    def merge(self, entries) -> int:
-        """Install (n, disc, Fraction) triples; returns how many were new."""
-        added = 0
+    def entries_since(self, mark: int) -> list[tuple[int, int | None, Fraction]]:
+        """The entries inserted after the cache held `mark` of them, oldest first.
+
+        Relies on two facts: entries are never evicted, and dicts keep
+        insertion order, so they are the newest len - mark items.  Reading
+        them from the reversed dict costs only their number.
+        """
+        with self._lock:
+            newest = islice(reversed(self._values.items()), len(self._values) - mark)
+            return [(n, disc, v) for (n, disc), v in reversed(list(newest))]
+
+    def merge(self, entries) -> None:
+        """Install the (n, disc, Fraction) triples whose key is not yet present."""
         with self._lock:
             for n, disc, v in entries:
-                if (n, disc) not in self._values:
-                    self._values[(n, disc)] = v
-                    added += 1
-        return added
+                self._values.setdefault((n, disc), v)
 
     # -- plain Bernoulli numbers ------------------------------------------
 

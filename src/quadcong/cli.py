@@ -220,15 +220,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.p is None:
         print("error: --p is required", file=sys.stderr)
         return 2
-    if st.takes_d and args.d is None:
-        print(f"error: {args.statement} needs --d", file=sys.stderr)
-        return 2
-    if st.takes_k and args.k is None:
-        print(f"error: {args.statement} needs --k", file=sys.stderr)
-        return 2
+    for flag, takes in (("d", st.takes_d), ("k", st.takes_k)):
+        given = getattr(args, flag) is not None
+        if takes != given:
+            need = "needs" if takes else "does not take"
+            print(f"error: {args.statement} {need} --{flag}", file=sys.stderr)
+            return 2
     if args.cache_dir:
         load_cache(args.cache_dir)
-    instance = (st.id, args.d if st.takes_d else None, args.p, args.k if st.takes_k else None)
+    instance = (st.id, args.d, args.p, args.k)
     try:
         report = run_instance(instance)
     except (ValueError, ArithmeticError) as exc:
@@ -410,7 +410,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write report rows to this file instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with the defaults of the --config file named in argv."""
     parser = argparse.ArgumentParser(
         prog="quadcong",
         description="Exact verification of quadratic-field and Wilson-quotient congruences",
@@ -460,42 +461,40 @@ def build_parser() -> argparse.ArgumentParser:
                     help="squarefree d = p*m for the quadratic character (omit for principal)")
     _add_common(pl)
     pl.set_defaults(func=_cmd_lfun)
+    _install_config(argv or [], sub.choices)
     return parser
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Splice key=value file entries in as flags ahead of explicit ones."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        return argv
-    path = argv[i + 1]
+def _install_config(argv: list[str], subcommands: dict[str, argparse.ArgumentParser]) -> None:
+    """Make each key=value line of the --config file named in argv the default
+    of that flag in every subcommand that has it; explicit flags still win.
+
+    argparse converts a string default through the flag's `type`.  A switch
+    (`store_true`) is turned on by true, 1 or yes.
+    """
+    if "--config" not in argv or argv.index("--config") + 1 == len(argv):
+        return
+    path = argv[argv.index("--config") + 1]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             pairs = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]
     except OSError as exc:
         raise SystemExit(f"error: cannot read config file {path}: {exc}")
-    extra: list[str] = []
     for pair in pairs:
         if "=" not in pair:
             raise SystemExit(f"error: malformed config line {pair!r}")
-        key, value = pair.split("=", 1)
-        key = key.strip().replace("_", "-")
-        value = value.strip()
-        if value.lower() in ("true", "1", "yes") and key in ("include-p5", "long-running"):
-            extra.append(f"--{key}")
-        else:
-            extra.extend([f"--{key}", value])
-    # insert after the subcommand token so argparse scopes them correctly;
-    # explicit flags come later and therefore win
-    rest = [a for j, a in enumerate(argv) if j not in (i, i + 1)]
-    for j, a in enumerate(rest):
-        if a in _STATEMENT_NAMES or a in ("table1", "bernoulli", "lfun"):
-            return rest[: j + 1] + extra + rest[j + 1:]
-    if rest:
-        return rest[:1] + extra + rest[1:]
-    return rest
+        key, value = (part.strip() for part in pair.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        owners = [(sp, action) for sp in subcommands.values() for action in sp._actions
+                  if flag in action.option_strings and action.default is not argparse.SUPPRESS]
+        if not owners:
+            raise SystemExit(f"error: config key {key!r} is not a flag of any subcommand")
+        for sp, action in owners:
+            switch = action.nargs == 0
+            if switch and value.lower() not in ("true", "1", "yes"):
+                raise SystemExit(f"error: config switch {key!r} takes true, 1 or yes")
+            sp.set_defaults(**{action.dest: True if switch else value})
+            action.required = False
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -505,11 +504,10 @@ def main(argv: list[str] | None = None) -> int:
         pass
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config_file(argv)
+        parser = build_parser(argv)
     except SystemExit as exc:
         print(exc, file=sys.stderr)
         return 2
-    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -22,6 +22,7 @@ printed variants preserved in the regression tests:
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import get_context
@@ -317,12 +318,11 @@ def run_instance(instance: tuple) -> CongruenceReport:
 
 
 def _worker(instance: tuple):
+    """(report, cache entries the instance inserted, error) for one instance."""
     try:
-        before = {(n, disc) for n, disc, _ in DEFAULT_CACHE.entries()}
+        mark = len(DEFAULT_CACHE)
         report = run_instance(instance)
-        entries = [(n, disc, str(v.numerator), str(v.denominator))
-                   for n, disc, v in DEFAULT_CACHE.entries() if (n, disc) not in before]
-        return report, entries, None
+        return report, DEFAULT_CACHE.entries_since(mark), None
     except Exception as exc:  # aggregated, never aborts the scan
         return None, [], f"{instance}: {exc}"
 
@@ -332,38 +332,30 @@ class ScanResult:
     reports: list[CongruenceReport] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
     alerts: list[str] = field(default_factory=list)
-    new_cache_entries: list[tuple] = field(default_factory=list)
 
 
-def scan(cfg: ScanConfig, cache: BernoulliCache | None = None) -> ScanResult:
+def scan(cfg: ScanConfig) -> ScanResult:
     """Run every instance of the configured grid; deterministic report order.
 
-    Instances are independent; with jobs > 1 they are farmed to forked
-    workers, each of which starts from a copy of the shared cache and
-    ships back what it computed so the parent can persist it.
+    Instances are independent.  With jobs > 1 they are farmed to forked
+    workers, each of which starts from a copy of the default cache and
+    hands back exactly the entries it inserted; the parent merges them so
+    they can be persisted.  Serially the entries are already in place.
     """
     instances = build_instances(cfg)
     result = ScanResult()
-    if cfg.jobs == 1 or len(instances) <= 1:
-        for inst in instances:
-            try:
-                result.reports.append(run_instance(inst))
-            except Exception as exc:
-                result.errors.append(f"{inst}: {exc}")
-    else:
-        ctx = get_context("fork")
-        with ctx.Pool(processes=cfg.jobs) as pool:
-            for report, entries, err in pool.imap(_worker, instances, chunksize=4):
-                if err is not None:
-                    result.errors.append(err)
-                    continue
-                result.reports.append(report)
-                result.new_cache_entries.extend(entries)
-        if result.new_cache_entries:
-            merged = []
-            for n, disc, num, den in result.new_cache_entries:
-                merged.append((n, disc, Fraction(int(num), int(den))))
-            (cache or DEFAULT_CACHE).merge(merged)
+    with ExitStack() as stack:
+        if cfg.jobs == 1 or len(instances) <= 1:
+            outcomes = map(_worker, instances)
+        else:
+            pool = stack.enter_context(get_context("fork").Pool(processes=cfg.jobs))
+            outcomes = pool.imap(_worker, instances, chunksize=4)
+        for report, entries, err in outcomes:
+            if err is not None:
+                result.errors.append(err)
+                continue
+            result.reports.append(report)
+            DEFAULT_CACHE.merge(entries)
     result.reports.sort(key=lambda r: r.sort_key())
     # weak-divisibility alert: d^kappa | u never expected; surface any
     # p-power divisibility of u at or beyond the configured kappa

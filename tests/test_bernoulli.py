@@ -339,3 +339,19 @@ def test_cache_concurrent_use_and_consistency():
         assert cache.bernoulli(n) == fresh.bernoulli(n)
     for n in range(12):
         assert cache.get(n, 5) is None or cache.get(n, 5) == fresh.gen_bernoulli(n, CHI5)
+
+
+def test_cache_entries_since_returns_the_insertions_in_order():
+    cache = BernoulliCache()
+    assert cache.entries_since(len(cache)) == []
+    mark = len(cache)
+    gen_bernoulli(4, CHI8N, cache)
+    assert cache.entries_since(mark) == [
+        (2, None, Fraction(1, 6)),
+        (4, None, Fraction(-1, 30)),
+        (4, -8, Fraction(0)),
+    ]
+    mark = len(cache)
+    gen_bernoulli(3, CHI8N, cache)
+    assert cache.entries_since(mark) == [(3, -8, Fraction(9))]
+    assert cache.entries_since(len(cache)) == []

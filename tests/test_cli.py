@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -49,6 +52,15 @@ def test_verify_rejects_bad_input(capsys):
     assert code == 2
     code, *_ = run_cli(capsys, "verify", "nonsense", "--p", "7")
     assert code == 2
+
+
+def test_verify_rejects_flags_the_statement_does_not_take(capsys):
+    code, out, err = run_cli(capsys, "verify", "aac", "--p", "13", "--d", "99", "--k", "3")
+    assert code == 2 and out == ""
+    assert "error: aac does not take --d" in err
+    code, out, err = run_cli(capsys, "verify", "thm1", "--d", "14", "--p", "7", "--k", "3")
+    assert code == 2 and out == ""
+    assert "error: thm1 does not take --k" in err
 
 
 def test_verify_failing_congruence_exits_1(capsys):
@@ -278,6 +290,23 @@ def test_config_file_defaults_flags_win(tmp_path, capsys):
     assert max(r["k"] for r in rows) == 1
 
 
+def test_config_file_serves_several_subcommands(tmp_path, capsys):
+    """Each key is a default only of the subcommands that define its flag."""
+    conf = tmp_path / "shared.conf"
+    conf.write_text("p-max=11\ninclude-p5=yes\n")
+    code, out, err = run_cli(capsys, "--config", str(conf), "scan", "lehmer-diff")
+    assert code == 0
+    assert [json.loads(line)["p"] for line in out.strip().splitlines()] == [7, 11]
+    assert json.loads(err.strip().splitlines()[0])["config"]["include_p5"] is True
+    code, out, err = run_cli(capsys, "--config", str(conf), "table1")
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[0])["match"] is True
+    assert "p_max" not in json.loads(err.strip().splitlines()[-1])["config"]
+    conf.write_text("p-max=11\nno-such-flag=1\n")
+    code, _, err = run_cli(capsys, "--config", str(conf), "table1")
+    assert code == 2 and "no-such-flag" in err
+
+
 def test_unwritable_cache_dir_exits_2(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")  # a file where the cache directory should go
@@ -331,3 +360,19 @@ def test_manifest_tallies_consistent(capsys):
         "command", "config", "version", "wall_time_s", "instances", "passed", "failed", "errors",
     )})
     assert rm.consistent()
+
+
+def test_serial_and_parallel_scans_persist_the_same_cache(tmp_path):
+    """--jobs 1 and --jobs 2, each from an empty cache in a fresh interpreter,
+    write the same report bytes and the same cache file bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    written = []
+    for jobs in ("1", "2"):
+        cache_dir = tmp_path / f"jobs{jobs}"
+        run = subprocess.run(
+            [sys.executable, "-m", "quadcong.cli", "scan", "thm1", "--d-max", "150",
+             "--p-max", "23", "--jobs", jobs, "--cache-dir", str(cache_dir)],
+            env=env, capture_output=True, check=True,
+        )
+        written.append((run.stdout, (cache_dir / CACHE_FILE).read_bytes()))
+    assert written[0][0] and written[0] == written[1]

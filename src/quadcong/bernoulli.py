@@ -38,7 +38,6 @@ class BernoulliCache:
             (0, None): Fraction(1),
             (1, None): Fraction(-1, 2),
         }
-        self._even_max = 0
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -91,8 +90,12 @@ class BernoulliCache:
     def _extend_even(self, n: int) -> None:
         # binomial recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0, walking only
         # the even indices plus the fixed j=1 term; binomials are updated
-        # incrementally rather than recomputed.
-        for m in range(self._even_max + 2, n + 1, 2):
+        # incrementally rather than recomputed.  Only absent indices are
+        # computed, so merged values stay and a gap left by a rejected
+        # cache entry is filled.
+        for m in range(2, n + 1, 2):
+            if (m, None) in self._values:
+                continue
             acc = Fraction(-(m + 1), 2)  # j = 1 term: C(m+1,1) * B_1
             binom = 1  # C(m+1, 0)
             for j in range(0, m - 1, 2):
@@ -100,7 +103,6 @@ class BernoulliCache:
                 acc += binom * bj
                 binom = binom * (m + 1 - j) * (m - j) // ((j + 1) * (j + 2))
             self._values[(m, None)] = -acc / (m + 1)
-        self._even_max = max(self._even_max, n)
 
     # -- generalized Bernoulli numbers ------------------------------------
 
@@ -160,17 +162,16 @@ def bernoulli(n: int, cache: BernoulliCache | None = None) -> Fraction:
     return (cache or DEFAULT_CACHE).bernoulli(n)
 
 
-def bernoulli_poly(n: int, x: Fraction | int, cache: BernoulliCache | None = None) -> Fraction:
+def bernoulli_poly(n: int, x: Fraction | int) -> Fraction:
     """Bernoulli polynomial B_n(x) = sum_j C(n,j) B_j x^(n-j)."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    c = cache or DEFAULT_CACHE
     x = Fraction(x)
     total = Fraction(0)
     xp = Fraction(1)
     # evaluate from j = n down so powers of x build up incrementally
     for j in range(n, -1, -1):
-        bj = c.bernoulli(j)
+        bj = bernoulli(j)
         if bj:
             total += comb(n, j) * bj * xp
         xp *= x
@@ -222,7 +223,7 @@ def power_sum_restricted(k: int, F: int, chi: QuadChar, p: int) -> Fraction:
     return Fraction(total, F)
 
 
-def power_sum_closed(k: int, F: int, chi: QuadChar, cache: BernoulliCache | None = None) -> Fraction:
+def power_sum_closed(k: int, F: int, chi: QuadChar) -> Fraction:
     """Power sum via generalized Bernoulli numbers.
 
     (1/(k+1)) sum_{j=0}^{k} C(k+1, j) B_{j,chi} F^(k-j); exactly equal to
@@ -232,11 +233,10 @@ def power_sum_closed(k: int, F: int, chi: QuadChar, cache: BernoulliCache | None
     if k < 0:
         raise ValueError("k must be >= 0")
     _require_conductor_divides(chi, F)
-    c = cache or DEFAULT_CACHE
     total = Fraction(0)
     Fp = F ** k
     for j in range(k + 1):
-        bj = c.gen_bernoulli(j, chi)
+        bj = gen_bernoulli(j, chi)
         if bj:
             total += comb(k + 1, j) * bj * Fp
         if j < k:
@@ -247,7 +247,7 @@ def power_sum_closed(k: int, F: int, chi: QuadChar, cache: BernoulliCache | None
 # -- arithmetic facts about B_{n,chi} ---------------------------------------
 
 
-def carlitz_check(n: int, chi: QuadChar, p: int, cache: BernoulliCache | None = None) -> bool:
+def carlitz_check(n: int, chi: QuadChar, p: int) -> bool:
     """Is B_{n,chi}/n p-integral?  (True is the theorem's prediction.)
 
     Applies to non-principal chi with p coprime to the conductor; a
@@ -262,12 +262,10 @@ def carlitz_check(n: int, chi: QuadChar, p: int, cache: BernoulliCache | None = 
         raise ValueError(f"p must be prime, got {p}")
     if chi.conductor % p == 0:
         raise ValueError(f"p = {p} divides the conductor {chi.conductor}; statement does not apply")
-    return vp(gen_bernoulli(n, chi, cache) / n, p) >= 0
+    return vp(gen_bernoulli(n, chi) / n, p) >= 0
 
 
-def lemma_power_sum_nonprincipal(
-    k: int, chi: QuadChar, p: int, cache: BernoulliCache | None = None
-) -> CongruenceReport:
+def lemma_power_sum_nonprincipal(k: int, chi: QuadChar, p: int) -> CongruenceReport:
     """Depth-2 power-sum reduction P(k, pf, chi) for non-principal chi.
 
     Parity matching chi(-1) = (-1)^k gives P = B_{k,chi} mod p^2; the
@@ -286,23 +284,22 @@ def lemma_power_sum_nonprincipal(
     f = chi.conductor
     if f % p == 0:
         raise ValueError(f"p = {p} must not divide the conductor {f}")
-    c = cache or DEFAULT_CACHE
     F = p * f
     lhs = power_sum_direct(k, F, chi)
     if chi.parity == (-1) ** k:
         if k == 3 and chi.parity == -1:
-            rhs = c.gen_bernoulli(3, chi) + F * F * c.gen_bernoulli(1, chi)
+            rhs = gen_bernoulli(3, chi) + F * F * gen_bernoulli(1, chi)
             stmt = "POWER_SUM_NONPRINCIPAL_K3_EXACT"
         else:
-            rhs = c.gen_bernoulli(k, chi)
+            rhs = gen_bernoulli(k, chi)
             stmt = "POWER_SUM_NONPRINCIPAL_A"
     else:
-        rhs = Fraction(k * F, 2) * c.gen_bernoulli(k - 1, chi)
+        rhs = Fraction(k * F, 2) * gen_bernoulli(k - 1, chi)
         stmt = "POWER_SUM_NONPRINCIPAL_B"
     return make_report(stmt, lhs, rhs, p, depth=2, d=chi.discriminant, k=k)
 
 
-def lemma_power_sum_principal(k: int, p: int, cache: BernoulliCache | None = None) -> CongruenceReport:
+def lemma_power_sum_principal(k: int, p: int) -> CongruenceReport:
     """Depth-2 reduction of P(k, p) for the principal character, 3 <= k < p(p-1).
 
     (p-1) | k        : P + 1/p = B_k + 1/p mod p^2
@@ -313,28 +310,25 @@ def lemma_power_sum_principal(k: int, p: int, cache: BernoulliCache | None = Non
         raise ValueError(f"statement needs a prime p > 3, got {p}")
     if not 3 <= k < p * (p - 1):
         raise ValueError(f"k = {k} outside the admissible range [3, p(p-1))")
-    c = cache or DEFAULT_CACHE
     F = p
     chi0 = QuadChar.principal()
     P = power_sum_direct(k, F, chi0)
     if k % (p - 1) == 0:
         lhs = P + Fraction(1, p)
-        rhs = c.bernoulli(k) + Fraction(1, p)
+        rhs = bernoulli(k) + Fraction(1, p)
         stmt = "POWER_SUM_PRINCIPAL_A"
     elif k % 2 == 0:
         lhs = P
-        rhs = c.bernoulli(k) + Fraction(F * F * k * (k - 1), 6) * c.bernoulli(k - 2)
+        rhs = bernoulli(k) + Fraction(F * F * k * (k - 1), 6) * bernoulli(k - 2)
         stmt = "POWER_SUM_PRINCIPAL_B"
     else:
         lhs = P
-        rhs = Fraction(F * k, 2) * c.bernoulli(k - 1)
+        rhs = Fraction(F * k, 2) * bernoulli(k - 1)
         stmt = "POWER_SUM_PRINCIPAL_C"
     return make_report(stmt, lhs, rhs, p, depth=2, k=k)
 
 
-def sun_congruence_check(
-    b: int, k: int, chi: QuadChar, p: int, cache: BernoulliCache | None = None
-) -> CongruenceReport:
+def sun_congruence_check(b: int, k: int, chi: QuadChar, p: int) -> CongruenceReport:
     """Depth-2 index-shift congruence for B_{n,chi}/n.
 
     B_{k(p-1)+b,chi}/(k(p-1)+b) =
@@ -349,10 +343,9 @@ def sun_congruence_check(
         raise ValueError(f"b = {b} must be positive and not divisible by p - 1 = {p - 1}")
     if chi.conductor % p == 0:
         raise ValueError(f"p = {p} must not divide the conductor {chi.conductor}")
-    c = cache or DEFAULT_CACHE
     n1 = k * (p - 1) + b
     n2 = (p - 1) + b
-    lhs = c.gen_bernoulli(n1, chi) / n1
+    lhs = gen_bernoulli(n1, chi) / n1
     euler = 1 - chi(p) * p ** (b - 1)
-    rhs = k * c.gen_bernoulli(n2, chi) / n2 - (k - 1) * euler * c.gen_bernoulli(b, chi) / b
+    rhs = k * gen_bernoulli(n2, chi) / n2 - (k - 1) * euler * gen_bernoulli(b, chi) / b
     return make_report("SUN_INDEX_SHIFT", lhs, rhs, p, depth=2, d=chi.discriminant, k=k)

@@ -218,26 +218,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     st = REGISTRY[_STATEMENT_NAMES[args.statement]]
     if args.p is None:
-        print("error: --p is required", file=sys.stderr)
-        return 2
+        raise ValueError("--p is required")
     for flag, takes in (("d", st.takes_d), ("k", st.takes_k)):
-        given = getattr(args, flag) is not None
-        if takes != given:
+        if takes != (getattr(args, flag) is not None):
             need = "needs" if takes else "does not take"
-            print(f"error: {args.statement} {need} --{flag}", file=sys.stderr)
-            return 2
-    if args.cache_dir:
-        load_cache(args.cache_dir)
-    instance = (st.id, args.d, args.p, args.k)
-    try:
-        report = run_instance(instance)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    adv = _is_advisory(report)
-    _emit(_render_reports([report], args.format, [adv]), args.out)
-    if args.cache_dir:
-        store_cache(args.cache_dir)
+            raise ValueError(f"{args.statement} {need} --{flag}")
+    report = run_instance((st.id, args.d, args.p, args.k))
+    _emit(_render_reports([report], args.format, [_is_advisory(report)]), args.out)
     manifest = RunManifest(
         command="verify", config=_echo_config(args), version=__version__,
         wall_time_s=time.perf_counter() - t0, instances=1,
@@ -250,27 +237,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     stmt = _STATEMENT_NAMES[args.statement]
-    if args.cache_dir:
-        load_cache(args.cache_dir)
-    try:
-        cfg = ScanConfig(
-            statement=stmt,
-            d_max=args.d_max,
-            p_min=args.p_min,
-            p_max=args.p_max,
-            k_max=args.k_max,
-            include_p5=args.include_p5,
-            jobs=args.jobs,
-            kappa=args.kappa,
-        )
-        result = scan(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = scan(ScanConfig(
+        statement=stmt,
+        d_max=args.d_max,
+        p_min=args.p_min,
+        p_max=args.p_max,
+        k_max=args.k_max,
+        include_p5=args.include_p5,
+        jobs=args.jobs,
+        kappa=args.kappa,
+    ))
     flags = [_is_advisory(r) for r in result.reports]
     _emit(_render_reports(result.reports, args.format, flags), args.out)
-    if args.cache_dir:
-        store_cache(args.cache_dir)
     manifest = RunManifest(
         command="scan", config=_echo_config(args), version=__version__,
         wall_time_s=time.perf_counter() - t0, instances=len(result.reports),
@@ -331,68 +309,50 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
-    if args.cache_dir:
-        load_cache(args.cache_dir)
-    try:
-        if args.disc is None:
-            value = bernoulli(args.n)
-            chi_desc = None
-        else:
-            value = gen_bernoulli(args.n, QuadChar(args.disc))
-            chi_desc = args.disc
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit([json.dumps({"n": args.n, "disc": chi_desc, "value": rational_str(value)},
+    if args.disc is None:
+        value = bernoulli(args.n)
+    else:
+        value = gen_bernoulli(args.n, QuadChar(args.disc))
+    _emit([json.dumps({"n": args.n, "disc": args.disc, "value": rational_str(value)},
                       sort_keys=True)], args.out)
-    if args.cache_dir:
-        store_cache(args.cache_dir)
     return 0
 
 
 def _cmd_lfun(args: argparse.Namespace) -> int:
-    if args.cache_dir:
-        load_cache(args.cache_dir)
     p = args.p
-    try:
-        if args.d is None:
-            bundle = a_coefficients_direct(QuadChar.principal(), p)
-            closed0 = a0_closed_principal(p)
-            closed1 = a1_closed_principal(p)
-            obj = {
-                "character": "principal",
-                "p": p,
-                "F": bundle.F,
-                "a_minus1": rational_str(bundle.a_minus1),
-                "a0_direct": rational_str(bundle.a0),
-                "a1_direct": rational_str(bundle.a1),
-                "a0_closed": rational_str(closed0),
-                "a1_closed": rational_str(closed1),
-                "v_p_a0_agreement": str(vp(bundle.a0 - closed0, p)),
-                "v_p_a1_agreement": str(vp(bundle.a1 - closed1, p)),
-            }
-        else:
-            split = split_character(args.d, p, check=False)
-            bundle = a_coefficients_direct(split.chi_d, p)
-            closed1 = a1_closed_quadratic(split)
-            obj = {
-                "character": f"quadratic disc {split.chi_d.discriminant}",
-                "p": p,
-                "d": args.d,
-                "psi_disc": split.psi.discriminant,
-                "F": bundle.F,
-                "a_minus1": rational_str(bundle.a_minus1),
-                "a0_direct": rational_str(bundle.a0),
-                "a1_direct": rational_str(bundle.a1),
-                "a1_closed": rational_str(closed1),
-                "v_p_a1_agreement": str(vp(bundle.a1 - closed1, p)),
-            }
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.d is None:
+        bundle = a_coefficients_direct(QuadChar.principal(), p)
+        closed0 = a0_closed_principal(p)
+        closed1 = a1_closed_principal(p)
+        obj = {
+            "character": "principal",
+            "p": p,
+            "F": bundle.F,
+            "a_minus1": rational_str(bundle.a_minus1),
+            "a0_direct": rational_str(bundle.a0),
+            "a1_direct": rational_str(bundle.a1),
+            "a0_closed": rational_str(closed0),
+            "a1_closed": rational_str(closed1),
+            "v_p_a0_agreement": str(vp(bundle.a0 - closed0, p)),
+            "v_p_a1_agreement": str(vp(bundle.a1 - closed1, p)),
+        }
+    else:
+        split = split_character(args.d, p, check=False)
+        bundle = a_coefficients_direct(split.chi_d, p)
+        closed1 = a1_closed_quadratic(split)
+        obj = {
+            "character": f"quadratic disc {split.chi_d.discriminant}",
+            "p": p,
+            "d": args.d,
+            "psi_disc": split.psi.discriminant,
+            "F": bundle.F,
+            "a_minus1": rational_str(bundle.a_minus1),
+            "a0_direct": rational_str(bundle.a0),
+            "a1_direct": rational_str(bundle.a1),
+            "a1_closed": rational_str(closed1),
+            "v_p_a1_agreement": str(vp(bundle.a1 - closed1, p)),
+        }
     _emit([json.dumps(obj, sort_keys=True)], args.out)
-    if args.cache_dir:
-        store_cache(args.cache_dir)
     return 0
 
 
@@ -402,12 +362,6 @@ def _cmd_lfun(args: argparse.Namespace) -> int:
 def _echo_config(args: argparse.Namespace) -> dict:
     skip = {"func"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--cache-dir", default=None, help="directory for the Bernoulli cache")
-    p.add_argument("--out", default=None, help="write report rows to this file instead of stdout")
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
@@ -425,7 +379,6 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     pv.add_argument("--d", type=int, default=None)
     pv.add_argument("--p", type=int, default=None)
     pv.add_argument("--k", type=int, default=None)
-    _add_common(pv)
     pv.set_defaults(func=_cmd_verify)
 
     ps = sub.add_parser("scan", help="check a statement over a grid")
@@ -439,28 +392,31 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     advisory = "/".join(s.cli_name for s in REGISTRY.values() if s.advisory_p == 5)
     ps.add_argument("--include-p5", action="store_true",
                     help=f"add advisory p=5 instances to {advisory} scans")
-    _add_common(ps)
     ps.set_defaults(func=_cmd_scan)
 
     pt = sub.add_parser("table1", help="recompute the reference d rows (h and v_p(u))")
     pt.add_argument("--long-running", action="store_true",
                     help="include the two large rows (no time bound)")
-    _add_common(pt)
     pt.set_defaults(func=_cmd_table1)
 
     pb = sub.add_parser("bernoulli", help="print B_n or B_{n,chi}")
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--disc", type=int, default=None,
                     help="fundamental discriminant of the character (omit for plain B_n)")
-    _add_common(pb)
     pb.set_defaults(func=_cmd_bernoulli)
 
     pl = sub.add_parser("lfun", help="print the series coefficient bundle at (chi, p)")
     pl.add_argument("--p", type=int, required=True)
     pl.add_argument("--d", type=int, default=None,
                     help="squarefree d = p*m for the quadratic character (omit for principal)")
-    _add_common(pl)
     pl.set_defaults(func=_cmd_lfun)
+    for sp in (pv, ps, pt, pb, pl):
+        sp.add_argument("--out", default=None,
+                        help="write report rows to this file instead of stdout")
+    for sp in (pv, ps):
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
+    for sp in (pv, ps, pb, pl):
+        sp.add_argument("--cache-dir", default=None, help="directory for the Bernoulli cache")
     _install_config(argv or [], sub.choices)
     return parser
 
@@ -512,8 +468,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # the only cache load and store: a subcommand that returns, with any
+    # exit code, is persisted; one that raises an input error is not
+    cache_dir = getattr(args, "cache_dir", None)
     try:
-        return args.func(args)
+        if cache_dir:
+            load_cache(cache_dir)
+        code = args.func(args)
+        if cache_dir:
+            store_cache(cache_dir)
+        return code
     except (ValueError, ArithmeticError, CacheDirError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .bernoulli import BernoulliCache, DEFAULT_CACHE
+from .bernoulli import bernoulli, gen_bernoulli
 from .characters import CharacterSplit, QuadChar, char_values
 from .padic import fermat_quotient, unit_log_series, vp
 from .primes import is_prime
@@ -153,16 +153,15 @@ def a0_closed_principal(p: int) -> Fraction:
     return w * (1 + p * w / 2)
 
 
-def a1_closed_principal(p: int, cache: BernoulliCache | None = None) -> Fraction:
+def a1_closed_principal(p: int) -> Fraction:
     """Closed form -(B_{2(p-1)} - 2 B_{p-1} + R)/(2(p-1)^2), R = 1 - 1/p."""
     if p <= 3 or not is_prime(p):
         raise ValueError(f"need a prime p > 3, got {p}")
-    c = cache or DEFAULT_CACHE
     R = 1 - Fraction(1, p)
-    return -(c.bernoulli(2 * (p - 1)) - 2 * c.bernoulli(p - 1) + R) / (2 * (p - 1) ** 2)
+    return -(bernoulli(2 * (p - 1)) - 2 * bernoulli(p - 1) + R) / (2 * (p - 1) ** 2)
 
 
-def a1_closed_quadratic(split: CharacterSplit, cache: BernoulliCache | None = None) -> Fraction:
+def a1_closed_quadratic(split: CharacterSplit) -> Fraction:
     """Closed form of a_1 for the character of Q(sqrt d), d = p m > 5.
 
     -(B_{3r,psi}/3 - (1 - psi(p) p^(r-1)) B_{r,psi}) / (2 r^2) with
@@ -171,33 +170,24 @@ def a1_closed_quadratic(split: CharacterSplit, cache: BernoulliCache | None = No
     """
     if split.d == 5:
         raise ValueError("d = 5 carries correction terms this closed form omits")
-    c = cache or DEFAULT_CACHE
     p, r, psi = split.p, split.r, split.psi
     euler = 1 - psi(p) * p ** (r - 1)
-    return -(c.gen_bernoulli(3 * r, psi) / 3 - euler * c.gen_bernoulli(r, psi)) / (2 * r * r)
+    return -(gen_bernoulli(3 * r, psi) / 3 - euler * gen_bernoulli(r, psi)) / (2 * r * r)
 
 
-def a1_closed_quadratic_plain_bernoulli(
-    split: CharacterSplit, cache: BernoulliCache | None = None
-) -> Fraction:
+def a1_closed_quadratic_plain_bernoulli(split: CharacterSplit) -> Fraction:
     """Variant reading with the ordinary B_r in the subtracted term.
 
     Kept only so the suite can document that this reading breaks both the
     dual-path agreement and the |a1|_p < 1 bound; not part of the API
     proper.
     """
-    c = cache or DEFAULT_CACHE
     p, r, psi = split.p, split.r, split.psi
     euler = 1 - psi(p) * p ** (r - 1)
-    return -(c.gen_bernoulli(3 * r, psi) / 3 - euler * c.bernoulli(r)) / (2 * r * r)
+    return -(gen_bernoulli(3 * r, psi) / 3 - euler * bernoulli(r)) / (2 * r * r)
 
 
-def lp_interp_value(
-    n: int,
-    p: int,
-    split: CharacterSplit | None = None,
-    cache: BernoulliCache | None = None,
-) -> Fraction:
+def lp_interp_value(n: int, p: int, split: CharacterSplit | None = None) -> Fraction:
     """Interpolation value L_p(1-n, .) at an admissible positive integer n.
 
     Quadratic case (split given): n = r mod (p-1) so the twisted character
@@ -209,13 +199,12 @@ def lp_interp_value(
         raise ValueError("interpolation points are integers n >= 1")
     if p <= 3 or not is_prime(p):
         raise ValueError(f"need a prime p > 3, got {p}")
-    c = cache or DEFAULT_CACHE
     if split is None:
         if n % (p - 1) != 0:
             raise ValueError(
                 f"principal-character values need n = 0 mod (p-1); n={n}, p={p}"
             )
-        return -(1 - Fraction(p) ** (n - 1)) * c.bernoulli(n) / n
+        return -(1 - Fraction(p) ** (n - 1)) * bernoulli(n) / n
     if split.p != p:
         raise ValueError("split and p disagree")
     r = split.r
@@ -224,10 +213,10 @@ def lp_interp_value(
             f"quadratic values need n = (p-1)/2 mod (p-1); n={n}, p={p}"
         )
     psi = split.psi
-    return -(1 - psi(p) * Fraction(p) ** (n - 1)) * c.gen_bernoulli(n, psi) / n
+    return -(1 - psi(p) * Fraction(p) ** (n - 1)) * gen_bernoulli(n, psi) / n
 
 
-def zeta_star_value(n: int, p: int, cache: BernoulliCache | None = None) -> Fraction:
+def zeta_star_value(n: int, p: int) -> Fraction:
     """Pole-corrected zeta value zeta*_p(1-n) = L_p(1-n, chi_0) + R/n.
 
     Defined at multiples n of p-1; R = 1 - 1/p.
@@ -237,7 +226,7 @@ def zeta_star_value(n: int, p: int, cache: BernoulliCache | None = None) -> Frac
     if n < 1 or n % (p - 1) != 0:
         raise ValueError(f"n must be a positive multiple of p - 1 = {p - 1}, got {n}")
     R = 1 - Fraction(1, p)
-    return lp_interp_value(n, p, cache=cache) + R / n
+    return lp_interp_value(n, p) + R / n
 
 
 def lp1_via_class_number(inv: FieldInvariants) -> Fraction:

@@ -5,7 +5,9 @@ of sqrt(d) (or (1+sqrt(d))/2 when d = 1 mod 4, which is essential: the
 sqrt(d) expansion can return the cube of the fundamental unit there).
 Class numbers come from counting reduction cycles of indefinite binary
 quadratic forms, a route that shares no code with the unit computation
-or with the congruence machinery it later gets compared against.
+or with the congruence machinery it later gets compared against.  The
+reduced forms come from one b-scan whose products (D - b^2)/4 are
+factored by a root sieve at every size of D.
 """
 from __future__ import annotations
 
@@ -143,31 +145,12 @@ def _reduced_forms(D: int) -> set[tuple[int, int, int]]:
 
     For every admissible b the middle coefficient pins a*c = (b^2 - D)/4;
     the divisors of that product lying in the reduction window give the
-    forms.  Factorizations are by trial division up to ~10^8 and by a
-    root-sieve over b beyond that (used only by the long-running rows).
+    forms.  The products are factored all at once by a root sieve over b,
+    at every size of D.
     """
     s = isqrt(D)
     bstart = 2 if D % 4 == 0 else 1
-    bs = list(range(bstart, s + 1, 2))
-    if D <= 10 ** 8:
-        prs = primes_up_to(isqrt(D // 4) + 1)
-        fac_of = {}
-        for b in bs:
-            N = (D - b * b) // 4
-            if N > 0:
-                fac: dict[int, int] = {}
-                n = N
-                for p in prs:
-                    if p * p > n:
-                        break
-                    while n % p == 0:
-                        fac[p] = fac.get(p, 0) + 1
-                        n //= p
-                if n > 1:
-                    fac[n] = fac.get(n, 0) + 1
-                fac_of[b] = fac
-    else:
-        fac_of = _sieve_factored_bscan(D, bs)
+    fac_of = _sieve_factored_bscan(D, list(range(bstart, s + 1, 2)))
     forms: set[tuple[int, int, int]] = set()
     for b, fac in fac_of.items():
         N = (D - b * b) // 4

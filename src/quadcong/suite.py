@@ -28,7 +28,7 @@ from fractions import Fraction
 from multiprocessing import get_context
 from typing import Callable
 
-from .bernoulli import BernoulliCache, DEFAULT_CACHE
+from .bernoulli import DEFAULT_CACHE, bernoulli, gen_bernoulli
 from .characters import split_character
 from .lseries import wilson_quotient
 from .padic import unit_log_series, vp
@@ -57,21 +57,20 @@ def _require_split_shape(d: int, p: int, p_floor: int) -> None:
         raise ValueError(f"d = {d} is not squarefree")
 
 
-def check_aac_classical(p: int, cache: BernoulliCache | None = None) -> CongruenceReport:
+def check_aac_classical(p: int) -> CongruenceReport:
     """Depth-1 congruence 2 h u / t = -B_r / r (mod p) for prime d = p = 1 mod 4."""
     t0 = time.perf_counter()
     if p < 5 or p % 4 != 1 or not is_prime(p):
         raise ValueError(f"need a prime p = 1 mod 4, p >= 5; got {p}")
-    c = cache or DEFAULT_CACHE
     unit = fundamental_unit(p)
     h, _ = class_number(p)
     r = (p - 1) // 2
     lhs = Fraction(2 * h * unit.u, unit.t)
-    rhs = -c.bernoulli(r) / r
+    rhs = -bernoulli(r) / r
     return make_report(AAC_CLASSICAL, lhs, rhs, p, depth=1, d=p, started=t0)
 
 
-def check_theorem1(d: int, p: int, cache: BernoulliCache | None = None) -> CongruenceReport:
+def check_theorem1(d: int, p: int) -> CongruenceReport:
     """Depth-2 unit/class-number congruence for d = p m squarefree, d > 5.
 
     (4h/delta)(u/t + (d/3)(u/t)^3)
@@ -83,20 +82,17 @@ def check_theorem1(d: int, p: int, cache: BernoulliCache | None = None) -> Congr
     """
     t0 = time.perf_counter()
     _require_split_shape(d, p, p_floor=3)
-    c = cache or DEFAULT_CACHE
     split = split_character(d, p, check=False)
     unit = fundamental_unit(d)
     h, _ = class_number(d)
     r = split.r
     lhs = Fraction(4 * h, split.delta) * unit_log_series(d, unit.t, unit.u, 1)
     euler = 1 - split.psi(p) * p ** (r - 1)
-    rhs = -3 * euler * c.gen_bernoulli(r, split.psi) / r + c.gen_bernoulli(3 * r, split.psi) / (3 * r)
+    rhs = -3 * euler * gen_bernoulli(r, split.psi) / r + gen_bernoulli(3 * r, split.psi) / (3 * r)
     return make_report(THM1, lhs, rhs, p, depth=2, d=d, started=t0)
 
 
-def check_corollary_exact_division(
-    d: int, p: int, cache: BernoulliCache | None = None
-) -> CongruenceReport:
+def check_corollary_exact_division(d: int, p: int) -> CongruenceReport:
     """Depth-1 congruence for p exactly dividing u (p > 5).
 
     (2h/delta)(u/(pt)) = (1/p)(3 B_{r,psi} - B_{3r,psi}/3)  (mod p).
@@ -105,7 +101,6 @@ def check_corollary_exact_division(
     """
     t0 = time.perf_counter()
     _require_split_shape(d, p, p_floor=5)
-    c = cache or DEFAULT_CACHE
     unit = fundamental_unit(d)
     v = vp(unit.u, p)
     if v != 1:
@@ -114,28 +109,25 @@ def check_corollary_exact_division(
     h, _ = class_number(d)
     r = split.r
     lhs = Fraction(2 * h, split.delta) * Fraction(unit.u, p * unit.t)
-    rhs = (3 * c.gen_bernoulli(r, split.psi) - c.gen_bernoulli(3 * r, split.psi) / 3) / p
+    rhs = (3 * gen_bernoulli(r, split.psi) - gen_bernoulli(3 * r, split.psi) / 3) / p
     return make_report(COR_EXACT_DIV, lhs, rhs, p, depth=1, d=d, started=t0)
 
 
-def check_super_aacm_criterion(
-    d: int, p: int, cache: BernoulliCache | None = None
-) -> CongruenceReport:
+def check_super_aacm_criterion(d: int, p: int) -> CongruenceReport:
     """Depth-2 detector 9 B_{r,psi} = B_{3r,psi} (mod p^2), p > 5, p | d.
 
     Contrapositive use only: failure certifies p^2 does not divide u.
     """
     t0 = time.perf_counter()
     _require_split_shape(d, p, p_floor=5)
-    c = cache or DEFAULT_CACHE
     split = split_character(d, p, check=False)
     r = split.r
-    lhs = 9 * c.gen_bernoulli(r, split.psi)
-    rhs = c.gen_bernoulli(3 * r, split.psi)
+    lhs = 9 * gen_bernoulli(r, split.psi)
+    rhs = gen_bernoulli(3 * r, split.psi)
     return make_report(SUPER_AACM_CRIT, lhs, rhs, p, depth=2, d=d, started=t0)
 
 
-def check_lehmer_thm2(p: int, k: int, cache: BernoulliCache | None = None) -> CongruenceReport:
+def check_lehmer_thm2(p: int, k: int) -> CongruenceReport:
     """Depth-1 Wilson-quotient congruence B_{k(p-1)} + 1/p - 1 = k W_p (mod p).
 
     Checked literally for any odd prime; genuinely false at p = 3 for
@@ -146,24 +138,22 @@ def check_lehmer_thm2(p: int, k: int, cache: BernoulliCache | None = None) -> Co
         raise ValueError(f"need an odd prime, got {p}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    c = cache or DEFAULT_CACHE
-    lhs = c.bernoulli(k * (p - 1)) + Fraction(1, p) - 1
+    lhs = bernoulli(k * (p - 1)) + Fraction(1, p) - 1
     rhs = k * wilson_quotient(p)
     return make_report(LEHMER_THM2, lhs, rhs, p, depth=1, k=k, started=t0)
 
 
-def check_lehmer_diff(p: int, cache: BernoulliCache | None = None) -> CongruenceReport:
+def check_lehmer_diff(p: int) -> CongruenceReport:
     """Depth-1 congruence B_{2(p-1)} - B_{p-1} = W_p (mod p)."""
     t0 = time.perf_counter()
     if p < 3 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
-    c = cache or DEFAULT_CACHE
-    lhs = c.bernoulli(2 * (p - 1)) - c.bernoulli(p - 1)
+    lhs = bernoulli(2 * (p - 1)) - bernoulli(p - 1)
     rhs = wilson_quotient(p)
     return make_report(LEHMER_DIFF, lhs, rhs, p, depth=1, started=t0)
 
 
-def check_theorem3(p: int, k: int, cache: BernoulliCache | None = None) -> CongruenceReport:
+def check_theorem3(p: int, k: int) -> CongruenceReport:
     """Depth-2 Wilson-quotient identity, k^2-corrected.
 
     k(p-1) W_p (1 + p W_p / 2)
@@ -177,18 +167,17 @@ def check_theorem3(p: int, k: int, cache: BernoulliCache | None = None) -> Congr
         raise ValueError(f"need a prime p > 5, got {p}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    c = cache or DEFAULT_CACHE
     w = wilson_quotient(p)
     R = 1 - Fraction(1, p)
-    b1 = c.bernoulli(p - 1)
-    b2 = c.bernoulli(2 * (p - 1))
+    b1 = bernoulli(p - 1)
+    b2 = bernoulli(2 * (p - 1))
     lhs = k * (p - 1) * w * (1 + p * w / 2)
     k2 = k * k
-    rhs = -c.bernoulli(k * (p - 1)) + R + k2 * (b2 - b1) - Fraction(k2, 2) * (b2 - R)
+    rhs = -bernoulli(k * (p - 1)) + R + k2 * (b2 - b1) - Fraction(k2, 2) * (b2 - R)
     return make_report(THM3, lhs, rhs, p, depth=2, k=k, started=t0)
 
 
-def check_super_wilson_criterion(p: int, cache: BernoulliCache | None = None) -> CongruenceReport:
+def check_super_wilson_criterion(p: int) -> CongruenceReport:
     """Depth-2 detector 4(B_{p-1} - R) = B_{2(p-1)} - R (mod p^2).
 
     Contrapositive use only: failure certifies p is not super-Wilson
@@ -197,10 +186,9 @@ def check_super_wilson_criterion(p: int, cache: BernoulliCache | None = None) ->
     t0 = time.perf_counter()
     if p <= 3 or not is_prime(p):
         raise ValueError(f"need a prime p > 3, got {p}")
-    c = cache or DEFAULT_CACHE
     R = 1 - Fraction(1, p)
-    lhs = 4 * (c.bernoulli(p - 1) - R)
-    rhs = c.bernoulli(2 * (p - 1)) - R
+    lhs = 4 * (bernoulli(p - 1) - R)
+    rhs = bernoulli(2 * (p - 1)) - R
     return make_report(SUPER_WILSON_CRIT, lhs, rhs, p, depth=2, started=t0)
 
 

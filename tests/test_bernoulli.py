@@ -355,3 +355,30 @@ def test_cache_entries_since_returns_the_insertions_in_order():
     gen_bernoulli(3, CHI8N, cache)
     assert cache.entries_since(mark) == [(3, -8, Fraction(9))]
     assert cache.entries_since(len(cache)) == []
+
+
+class _CountingDict(dict):
+    """A dict that counts item assignments (merge's setdefault is not one)."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+def test_merged_plain_values_are_not_recomputed():
+    source = BernoulliCache()
+    source.bernoulli(204)
+    fresh = BernoulliCache()
+    fresh._values = _CountingDict(fresh._values)
+    fresh.merge(e for e in source.entries() if e[0] <= 200)
+    assert fresh.bernoulli(202) == source.bernoulli(202)
+    assert fresh._values.writes == 1
+    # a gap (say, a rejected cache entry) is filled, nothing else is rewritten
+    gappy = BernoulliCache()
+    gappy._values = _CountingDict(gappy._values)
+    gappy.merge(e for e in source.entries() if e[0] <= 200 and e[0] != 100)
+    assert gappy.bernoulli(204) == source.bernoulli(204)
+    assert gappy._values.writes == 3
+    assert gappy.get(100, None) == source.get(100, None)

@@ -376,3 +376,32 @@ def test_serial_and_parallel_scans_persist_the_same_cache(tmp_path):
         )
         written.append((run.stdout, (cache_dir / CACHE_FILE).read_bytes()))
     assert written[0][0] and written[0] == written[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("table1", "--cache-dir", "{dir}"),
+    ("table1", "--format", "csv"),
+    ("bernoulli", "--n", "4", "--format", "csv"),
+    ("lfun", "--p", "7", "--format", "csv"),
+])
+def test_flags_a_subcommand_does_not_use_are_rejected(argv, tmp_path, capsys):
+    code, out, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_usage_error_writes_no_cache(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    code, out, err = run_cli(capsys, "verify", "thm1", "--p", "7", "--cache-dir", str(cache_dir))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: thm1 needs --d"]
+    assert not (cache_dir / CACHE_FILE).exists()
+
+
+def test_failing_verdict_still_stores_the_cache(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "verify", "super-wilson", "--p", "5", "--cache-dir", str(tmp_path))
+    assert code == 1
+    fresh = BernoulliCache()
+    accepted, rejected = load_cache(str(tmp_path), fresh)
+    assert accepted and not rejected
+    assert fresh.get(8, None) == Fraction(-1, 30)

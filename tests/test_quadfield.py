@@ -175,3 +175,18 @@ def test_field_invariants():
     assert inv.p is None and inv.m is None
     with pytest.raises(ValueError):
         field_invariants(14, 5)
+
+
+def test_reduced_forms_match_brute_force_enumeration():
+    """The sieved b-scan finds exactly the forms is_reduced accepts."""
+    for d in squarefree_range(2, 120):
+        _delta, D = invariants_shell(d)
+        s = isqrt(D)
+        brute = set()
+        for a in range(-s, s + 1):
+            for b in range(1, s + 1):
+                if a and (b * b - D) % (4 * a) == 0:
+                    f = QuadraticForm(a, b, (b * b - D) // (4 * a))
+                    if f.is_reduced():
+                        brute.add((f.a, f.b, f.c))
+        assert _reduced_forms(D) == brute, d

@@ -7,6 +7,10 @@ Conventions matter here and are easy to get wrong:
   its index-1 value is +1/2 while agreeing with B_n everywhere else.
   The two live under distinct cache keys (disc None vs disc 1).
 
+Plain even B_n come from tangent numbers (Brent & Harvey,
+arXiv:1108.0286) in integers; B_{n,chi} from integer power sums of chi,
+combined over one common denominator.
+
 The closed power-sum formula stores the index-0 term as F^k B_{0,chi}/(k+1);
 the commonly printed variant without the 1/(k+1) fails the exact identity
 against the literal sum already at k = 2 for the principal character (a
@@ -17,7 +21,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, lcm
 
 from .characters import QuadChar, char_values
 from .padic import vp
@@ -30,7 +34,10 @@ class BernoulliCache:
 
     Reads are lock-free; writes are serialized so threads can share one
     instance.  Scan workers are forked processes, each with its own copy.
-    Entries are never evicted.
+    Entries are never evicted.  Besides the values, the cache keeps the
+    last column of the tangent-number triangle that plain B_n come from,
+    so asking for a larger n extends it instead of starting over; `len`
+    counts cached values only.
     """
 
     def __init__(self) -> None:
@@ -38,6 +45,7 @@ class BernoulliCache:
             (0, None): Fraction(1),
             (1, None): Fraction(-1, 2),
         }
+        self._tangent: list[int] = []
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -88,21 +96,25 @@ class BernoulliCache:
             return self._values[(n, None)]
 
     def _extend_even(self, n: int) -> None:
-        # binomial recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0, walking only
-        # the even indices plus the fixed j=1 term; binomials are updated
-        # incrementally rather than recomputed.  Only absent indices are
-        # computed, so merged values stay and a gap left by a rejected
-        # cache entry is filled.
-        for m in range(2, n + 1, 2):
-            if (m, None) in self._values:
-                continue
-            acc = Fraction(-(m + 1), 2)  # j = 1 term: C(m+1,1) * B_1
-            binom = 1  # C(m+1, 0)
-            for j in range(0, m - 1, 2):
-                bj = self._values[(j, None)] if j else Fraction(1)
-                acc += binom * bj
-                binom = binom * (m + 1 - j) * (m - j) // ((j + 1) * (j + 2))
-            self._values[(m, None)] = -acc / (m + 1)
+        # Brent-Harvey tangent numbers, in Python integers and incrementally.
+        # self._tangent is column j of the tangent triangle: the values its
+        # entry j takes, from (j-1)! through passes 2..j, so the last is T_j.
+        # Column j + 1 needs only column j, so a larger n costs only the new
+        # columns, and B_{2j} = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) reads no
+        # cached B_m: a wrong loaded value cannot spread.  Only absent keys
+        # are written, in ascending order, so merged or loaded values stay
+        # and a gap is filled.
+        col = self._tangent
+        while 2 * len(col) < n:
+            j = len(col) + 1
+            prev = 0
+            for k in range(j - 1):
+                prev = col[k] = (j - 1 - k) * col[k] + (j + 1 - k) * prev
+            col.append(2 * prev if j > 1 else 1)
+            if (2 * j, None) not in self._values:
+                q = 4 ** j
+                t = col[-1] if j % 2 else -col[-1]
+                self._values[(2 * j, None)] = Fraction(2 * j * t, q * (q - 1))
 
     # -- generalized Bernoulli numbers ------------------------------------
 
@@ -127,31 +139,34 @@ class BernoulliCache:
         # expanded so all inner arithmetic is on integers:
         #   B_{n,chi} = (1/f) sum_j C(n,j) B_j f^j T_{n-j},
         #   T_k = sum_{a=1}^{f} chi(a) a^k.
+        # Only j in {0, 1} and even j have B_j != 0, so T_k is needed only
+        # for k = n - 1 and k of n's parity.  The a with chi(a) = 1 and -1
+        # are summed apart (P and M, T = P - M), and the terms are added in
+        # integers over L = lcm(den B_j) with one division at the end.
         f = chi.conductor
         vals = char_values(chi, f)
-        T = [0] * (n + 1)
+        P = [0] * (n + 1)
+        M = [0] * (n + 1)
         for a in range(1, f + 1):
             cv = vals[a]
             if cv == 0:
                 continue
-            pw = 1
-            if cv == 1:
-                for kk in range(n + 1):
-                    T[kk] += pw
-                    pw *= a
-            else:
-                for kk in range(n + 1):
-                    T[kk] -= pw
-                    pw *= a
-        total = Fraction(0)
-        fj = 1
-        for j in range(n + 1):
-            if j <= 1 or j % 2 == 0:
-                bj = self.bernoulli(j)
-                if bj:
-                    total += comb(n, j) * bj * fj * T[n - j]
-            fj *= f
-        return total / f
+            S = P if cv == 1 else M
+            a2 = a * a
+            pw = a if n % 2 else 1
+            for k in range(n % 2, n, 2):
+                S[k] += pw
+                pw *= a2
+            S[n] += pw  # pw = a^n
+            if n:
+                S[n - 1] += pw // a
+        bs = [(j, self.bernoulli(j)) for j in (0, 1, *range(2, n + 1, 2)) if j <= n]
+        L = lcm(*(bj.denominator for _, bj in bs))
+        total = 0
+        for j, bj in bs:
+            k = n - j
+            total += comb(n, j) * bj.numerator * (L // bj.denominator) * f ** j * (P[k] - M[k])
+        return Fraction(total, L * f)
 
 
 DEFAULT_CACHE = BernoulliCache()

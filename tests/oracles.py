@@ -1,10 +1,13 @@
 """Independent reference implementations used only as test oracles.
 
 Nothing here may import from the algorithm paths it is used to check:
-Bernoulli numbers come from the Akiyama-Tanigawa triangle and from
-tangent numbers, symbols from literal square enumeration, power sums
+Bernoulli numbers come from the Akiyama-Tanigawa triangle and from the
+binomial recurrence, symbols from literal square enumeration, power sums
 from literal summation, units from exhaustive search, class numbers
 from ideal enumeration with principality decided by norm-form scans.
+`tangent_bernoulli` uses the same tangent-number method as production,
+so it checks the incremental bookkeeping, not the method; independence
+for plain B_n rests on the other two.
 """
 from __future__ import annotations
 
@@ -25,6 +28,26 @@ def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
         out.append(a[0])
     if n >= 1:
         out[1] = -out[1]  # triangle yields the +1/2 convention
+    return out
+
+
+def bernoulli_binomial_recurrence(n: int) -> list[Fraction]:
+    """B_0..B_n from sum_{j=0}^{m} C(m+1, j) B_j = 0, with B_1 = -1/2.
+
+    Walks only the even indices plus the fixed j = 1 term; odd indices
+    above 1 are zero.
+    """
+    out = [Fraction(0)] * (n + 1)
+    out[0] = Fraction(1)
+    if n >= 1:
+        out[1] = Fraction(-1, 2)
+    for m in range(2, n + 1, 2):
+        acc = Fraction(-(m + 1), 2)  # j = 1 term: C(m+1,1) * B_1
+        binom = 1  # C(m+1, 0)
+        for j in range(0, m - 1, 2):
+            acc += binom * out[j]
+            binom = binom * (m + 1 - j) * (m - j) // ((j + 1) * (j + 2))
+        out[m] = -acc / (m + 1)
     return out
 
 

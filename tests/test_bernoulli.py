@@ -1,5 +1,6 @@
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -17,11 +18,16 @@ from quadcong.bernoulli import (
     power_sum_restricted,
     sun_congruence_check,
 )
-from quadcong.characters import QuadChar, is_fundamental_discriminant
+from quadcong.characters import QuadChar, is_fundamental_discriminant, split_character
 from quadcong.padic import INF, vp
 from quadcong.primes import primes_up_to
 
-from oracles import bernoulli_akiyama_tanigawa, gen_bernoulli_series, tangent_bernoulli
+from oracles import (
+    bernoulli_akiyama_tanigawa,
+    bernoulli_binomial_recurrence,
+    gen_bernoulli_series,
+    tangent_bernoulli,
+)
 
 CHI3 = QuadChar(-3)
 CHI4 = QuadChar(-4)
@@ -382,3 +388,61 @@ def test_merged_plain_values_are_not_recomputed():
     assert gappy.bernoulli(204) == source.bernoulli(204)
     assert gappy._values.writes == 3
     assert gappy.get(100, None) == source.get(100, None)
+
+
+@lru_cache(maxsize=None)
+def _recurrence_1460():
+    """B_0..B_1460 from the binomial-recurrence oracle, computed once per session."""
+    return bernoulli_binomial_recurrence(1460)
+
+
+def test_bernoulli_against_binomial_recurrence_oracle():
+    """Every B_n up to 1460, the largest index the default grids touch."""
+    oracle = _recurrence_1460()
+    cache = BernoulliCache()
+    for n in range(1461):
+        assert cache.bernoulli(n) == oracle[n], n
+
+
+def _wilson_request_order():
+    return [k * (p - 1) for p in primes_up_to(300) if p >= 7 for k in range(1, 6)]
+
+
+@pytest.mark.parametrize(
+    "requests, merged_n",
+    [
+        ([1460], ()),
+        (_wilson_request_order(), ()),
+        ([1460], [n for n in range(2, 601, 2) if n != 300]),
+    ],
+    ids=["one-call", "wilson-order", "merged-prefix-with-gap"],
+)
+def test_tangent_kernel_writes_only_absent_keys_in_ascending_order(requests, merged_n):
+    assert max(requests) == 1460
+    oracle = _recurrence_1460()
+    cache = BernoulliCache()
+    cache._values = _CountingDict(cache._values)
+    cache.merge((n, None, oracle[n]) for n in merged_n)
+    mark = len(cache)
+    for n in requests:
+        assert cache.bernoulli(n) == oracle[n], n
+    written = [n for n, _, _ in cache.entries_since(mark)]
+    assert cache._values.writes == len(written)
+    assert written == sorted(set(range(2, 1461, 2)) - set(merged_n))
+    for n in range(0, 1461, 2):
+        assert cache.get(n, None) == oracle[n], n
+
+
+def test_computed_plain_values_do_not_read_merged_ones():
+    cache = BernoulliCache()
+    cache.merge([(4, None, Fraction(1, 7))])  # wrong: B_4 = -1/30
+    assert cache.bernoulli(10) == bernoulli_akiyama_tanigawa(10)[10]
+
+
+@pytest.mark.parametrize("d, p", [(14, 7), (21, 7), (55, 11), (26, 13), (51, 17)])
+def test_gen_bernoulli_against_series_oracle_at_thm1_indices(d, p):
+    """The thm1 indices r and 3r, r = (p-1)/2 odd (p = 7, 11) and even (p = 13, 17)."""
+    split = split_character(d, p)
+    psi = split.psi
+    for n in (split.r, 3 * split.r):
+        assert BernoulliCache().gen_bernoulli(n, psi) == gen_bernoulli_series(n, psi.conductor, psi), n

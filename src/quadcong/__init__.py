@@ -8,13 +8,11 @@ __version__ = "0.1.0"
 
 from .padic import (
     INF,
-    PadicContext,
     congruent,
-    diamond,
+    difference_verdict,
     fermat_quotient,
     is_p_integral,
     log_surrogate,
-    teichmuller,
     unit_log_series,
     vp,
 )

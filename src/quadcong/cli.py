@@ -28,7 +28,7 @@ from .lseries import (
 )
 from .padic import vp
 from .primes import factorize, is_prime
-from .quadfield import class_number, fundamental_unit
+from .quadfield import field_invariants
 from .reports import CSV_HEADER, CongruenceReport, rational_str
 from .suite import DETECTORS, REGISTRY, ScanConfig, run_instance, scan
 
@@ -280,20 +280,19 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             skipped += 1
             continue
         fac_got = factorize(d)
-        unit = fundamental_unit(d)
-        h_got, _ = class_number(d)
-        v_got = vp(unit.u, p)
-        ok = fac_got == fac and h_got == h_ref and v_got == vpu_ref
+        inv = field_invariants(d, p)
+        v_got = vp(inv.u, p)
+        ok = fac_got == fac and inv.h == h_ref and v_got == vpu_ref
         lines.append(json.dumps({
             "d": d,
             "factorization": {str(q): e for q, e in sorted(fac_got.items())},
-            "h": h_got,
+            "h": inv.h,
             "h_expected": h_ref,
             "p": p,
             "vp_u": v_got,
             "vp_u_expected": vpu_ref,
-            "u_bits": unit.u.bit_length(),
-            "cf_period": unit.cf_period,
+            "u_bits": inv.u_bit_length,
+            "cf_period": inv.cf_period,
             "match": ok,
         }, sort_keys=True))
         passed += int(ok)

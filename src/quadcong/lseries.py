@@ -18,7 +18,7 @@ from math import factorial
 
 from .bernoulli import bernoulli, gen_bernoulli
 from .characters import CharacterSplit, QuadChar, char_values
-from .padic import fermat_quotient, unit_log_series, vp
+from .padic import fermat_quotient, log_from_fermat_quotient, unit_log_series, vp
 from .primes import is_prime
 from .quadfield import FieldInvariants
 
@@ -120,8 +120,7 @@ def a_coefficients_direct(chi: QuadChar, p: int) -> CoefficientBundle:
             continue
         fa = fermat_quotient(a, p)
         x = Fraction(F, a)
-        log_a = (p * fa - p * p * fa * fa / 2) / (p - 1)
-        term0 = log_a - x / 2 - x * x / 12
+        term0 = log_from_fermat_quotient(fa, p) - x / 2 - x * x / 12
         term1 = c_sq * fa * fa + x * x / 12 - c_lin * fa * x
         if cv == 1:
             am1 += 1

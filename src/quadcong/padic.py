@@ -6,7 +6,6 @@ rational difference.  Floating point is never consulted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
@@ -14,8 +13,6 @@ from .primes import is_prime
 
 # valuation of zero
 INF = inf
-
-Rational = Fraction
 
 
 def _int_vp(n: int, p: int) -> int:
@@ -44,32 +41,16 @@ def is_p_integral(x: Fraction | int, p: int) -> bool:
     return vp(x, p) >= 0
 
 
-@dataclass(frozen=True)
-class PadicContext:
-    """A prime together with the congruence depth k (modulus p^k).
-
-    Depth is capped at 3: no statement verified by this package needs more
-    than mod-p^3 intermediate precision.  p = 3 is admitted because the
-    Wilson-quotient checks run there.
-    """
-
-    p: int
-    depth: int = 1
-
-    def __post_init__(self) -> None:
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"context prime must be an odd prime, got {self.p}")
-        if self.depth not in (1, 2, 3):
-            raise ValueError(f"depth must be 1, 2 or 3, got {self.depth}")
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.depth
+def difference_verdict(a: Fraction | int, b: Fraction | int, p: int,
+                       depth: int) -> tuple[int | float, bool]:
+    """(v_p(a - b), v_p(a - b) >= depth): the one congruence decision."""
+    v = vp(Fraction(a) - Fraction(b), p)
+    return v, v >= depth
 
 
-def congruent(a: Fraction | int, b: Fraction | int, ctx: PadicContext) -> bool:
-    """Exact congruence a = b mod p^depth, i.e. v_p(a-b) >= depth."""
-    return vp(Fraction(a) - Fraction(b), ctx.p) >= ctx.depth
+def congruent(a: Fraction | int, b: Fraction | int, p: int, depth: int) -> bool:
+    """Exact congruence a = b mod p^depth."""
+    return difference_verdict(a, b, p, depth)[1]
 
 
 def fermat_quotient(a: int, p: int) -> Fraction:
@@ -90,27 +71,12 @@ def log_surrogate(a: int, p: int) -> Fraction:
     """
     if p <= 3:
         raise ValueError(f"log surrogate needs p > 3, got {p}")
-    fa = fermat_quotient(a, p)
-    return (p * fa - p * p * fa * fa / 2) / (p - 1)
+    return log_from_fermat_quotient(fermat_quotient(a, p), p)
 
 
-def teichmuller(a: int, ctx: PadicContext) -> int:
-    """The (p-1)-st-root-of-unity lift of a, as a residue mod p^depth.
-
-    Closed form a^(p^(depth-1)) mod p^depth; one exponentiation, exact.
-    """
-    p, k = ctx.p, ctx.depth
-    if a % p == 0:
-        raise ValueError(f"teichmuller needs gcd(a, p) = 1, got a={a}, p={p}")
-    return pow(a, p ** (k - 1), p ** k)
-
-
-def diamond(a: int, ctx: PadicContext) -> int:
-    """The principal-unit part a/omega(a) mod p^depth; always = 1 mod p."""
-    p, k = ctx.p, ctx.depth
-    m = p ** k
-    w = teichmuller(a, ctx)
-    return a * pow(w, -1, m) % m
+def log_from_fermat_quotient(fa: Fraction, p: int) -> Fraction:
+    """The log surrogate (p F - p^2 F^2 / 2)/(p - 1) from F = fermat_quotient(a, p)."""
+    return Fraction(p * fa * (2 - p * fa), 2 * (p - 1))
 
 
 def unit_log_series(d: int, t: int, u: int, n_max: int) -> Fraction:

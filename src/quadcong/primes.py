@@ -1,7 +1,7 @@
 """Primality, factorization, and sieve utilities on plain integers."""
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 # Deterministic Miller-Rabin witnesses for n < 3,317,044,064,679,887,385,961,981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -122,7 +122,3 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
-
-
-def coprime(a: int, b: int) -> bool:
-    return gcd(a, b) == 1

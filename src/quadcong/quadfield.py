@@ -12,6 +12,7 @@ factored by a root sieve at every size of D.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 from typing import Iterator, NamedTuple
 
@@ -60,6 +61,7 @@ def _product_tree(mats: list) -> tuple:
     return mats[0]
 
 
+@cache
 def fundamental_unit(d: int) -> UnitData:
     """Fundamental unit (delta/2)(t + u sqrt d) of Q(sqrt d), d squarefree > 1.
 
@@ -67,7 +69,8 @@ def fundamental_unit(d: int) -> UnitData:
     its second complete quotient beta; the cycle matrix (product of the
     partial-quotient matrices over one period) applied to beta gives the
     unit, with norm (-1)^period.  Batched into a balanced product so the
-    multi-thousand-digit convergents of large d stay cheap.
+    multi-thousand-digit convergents of large d stay cheap.  Memoized by d
+    for the life of the process.
     """
     delta, _D = invariants_shell(d)
     s = isqrt(d)
@@ -125,19 +128,25 @@ class QuadraticForm:
     def is_reduced(self) -> bool:
         """Reduced as an indefinite form: 0 < b < sqrt D, |sqrt D - 2|a|| < b."""
         D = self.discriminant
-        if D <= 0:
-            return False
-        ta = 2 * abs(self.a)
-        return self.b > 0 and self.b * self.b < D and (ta + self.b) ** 2 > D and (ta - self.b) ** 2 < D
+        return D > 0 and self.b > 0 and self.b * self.b < D and _in_window(self.a, self.b, D)
 
     def reduction_step(self) -> "QuadraticForm":
         """The standard reduction operator; permutes the reduced forms."""
         D = self.discriminant
-        s = isqrt(D)
-        m = 2 * abs(self.c)
-        b2 = s - ((s + self.b) % m)
-        c2 = (b2 * b2 - D) // (4 * self.c)
-        return QuadraticForm(self.c, b2, c2)
+        return QuadraticForm(*_reduction_step((self.a, self.b, self.c), D, isqrt(D)))
+
+
+def _in_window(a: int, b: int, D: int) -> bool:
+    """The reduction window (2|a| + b)^2 > D > (2|a| - b)^2."""
+    ta = 2 * abs(a)
+    return (ta + b) ** 2 > D > (ta - b) ** 2
+
+
+def _reduction_step(form: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
+    """The standard reduction operator on (a, b, c) of discriminant D, s = isqrt(D)."""
+    _a, b, c = form
+    b2 = s - ((s + b) % (2 * abs(c)))
+    return c, b2, (b2 * b2 - D) // (4 * c)
 
 
 def _reduced_forms(D: int) -> set[tuple[int, int, int]]:
@@ -155,8 +164,7 @@ def _reduced_forms(D: int) -> set[tuple[int, int, int]]:
     for b, fac in fac_of.items():
         N = (D - b * b) // 4
         for a in divisors(fac):
-            ta = 2 * a
-            if (ta + b) ** 2 > D and (ta - b) ** 2 < D:
+            if _in_window(a, b, D):
                 c = -(N // a)
                 forms.add((a, b, c))
                 forms.add((-a, b, -c))
@@ -210,6 +218,7 @@ class ClassNumber(NamedTuple):
     h_plus: int
 
 
+@cache
 def class_number(d: int) -> ClassNumber:
     """(h, h+) by partitioning the reduced forms of disc(Q(sqrt d)) into cycles.
 
@@ -217,6 +226,7 @@ def class_number(d: int) -> ClassNumber:
     has norm -1 and h+/2 otherwise.  The norm is read off the same cycles
     without computing the unit: N(eps) = -1 exactly when the principal
     form (1, b0, c0) and its negative (-1, b0, -c0) share a cycle.
+    Memoized by d for the life of the process.
     """
     delta, D = invariants_shell(d)
     s = isqrt(D)
@@ -230,10 +240,7 @@ def class_number(d: int) -> ClassNumber:
         g = f
         while True:
             cycle_of[g] = cycles
-            a, b, c = g
-            m = 2 * abs(c)
-            b2 = s - ((s + b) % m)
-            g = (c, b2, (b2 * b2 - D) // (4 * c))
+            g = _reduction_step(g, D, s)
             if g == f:
                 break
     if cycle_of.keys() != forms:
@@ -270,6 +277,11 @@ class FieldInvariants:
 
 
 def field_invariants(d: int, p: int | None = None) -> FieldInvariants:
+    """The invariants of Q(sqrt d), and m = d/p for a prime p | d.
+
+    The read path of every check that needs the unit or the class number;
+    both are memoized by d, so a d seen before costs no recomputation.
+    """
     delta, D = invariants_shell(d)
     unit = fundamental_unit(d)
     h, h_plus = class_number(d)

@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import INF, vp
+from .padic import INF, difference_verdict
 
 
 def rational_str(x: Fraction) -> str:
@@ -38,9 +38,6 @@ class CongruenceReport:
     d: int | None = None
     k: int | None = None
     elapsed: float = 0.0
-
-    def sort_key(self) -> tuple:
-        return (self.statement_id, self.d or 0, self.p, self.k or 0)
 
     def to_json_obj(self, advisory: bool = False) -> dict:
         obj = {
@@ -93,7 +90,7 @@ def make_report(
     k: int | None = None,
     started: float | None = None,
 ) -> CongruenceReport:
-    val = vp(lhs - rhs, p)
+    val, holds = difference_verdict(lhs, rhs, p, depth)
     return CongruenceReport(
         statement_id=statement_id,
         lhs=lhs,
@@ -101,7 +98,7 @@ def make_report(
         p=p,
         depth=depth,
         difference_valuation=val,
-        holds=val >= depth,
+        holds=holds,
         d=d,
         k=k,
         elapsed=0.0 if started is None else time.perf_counter() - started,
@@ -113,8 +110,7 @@ def rederive_holds(json_line: str) -> bool:
     obj = json.loads(json_line)
     lhs = parse_rational(obj["lhs"])
     rhs = parse_rational(obj["rhs"])
-    val = vp(lhs - rhs, obj["p"])
-    holds = val >= obj["depth"]
+    val, holds = difference_verdict(lhs, rhs, obj["p"], obj["depth"])
     recorded = obj["difference_valuation"]
     recorded_val = INF if recorded == "inf" else recorded
     if recorded_val != val or holds != obj["holds"]:

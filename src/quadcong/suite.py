@@ -30,10 +30,10 @@ from typing import Callable
 
 from .bernoulli import DEFAULT_CACHE, bernoulli, gen_bernoulli
 from .characters import split_character
-from .lseries import wilson_quotient
-from .padic import unit_log_series, vp
+from .lseries import lp1_via_class_number, wilson_quotient
+from .padic import vp
 from .primes import is_prime, is_squarefree, primes_up_to
-from .quadfield import class_number, fundamental_unit, vp_u
+from .quadfield import field_invariants, vp_u
 from .reports import CongruenceReport, make_report
 
 AAC_CLASSICAL = "AAC_CLASSICAL"
@@ -62,10 +62,9 @@ def check_aac_classical(p: int) -> CongruenceReport:
     t0 = time.perf_counter()
     if p < 5 or p % 4 != 1 or not is_prime(p):
         raise ValueError(f"need a prime p = 1 mod 4, p >= 5; got {p}")
-    unit = fundamental_unit(p)
-    h, _ = class_number(p)
+    inv = field_invariants(p)
     r = (p - 1) // 2
-    lhs = Fraction(2 * h * unit.u, unit.t)
+    lhs = Fraction(2 * inv.h * inv.u, inv.t)
     rhs = -bernoulli(r) / r
     return make_report(AAC_CLASSICAL, lhs, rhs, p, depth=1, d=p, started=t0)
 
@@ -83,10 +82,8 @@ def check_theorem1(d: int, p: int) -> CongruenceReport:
     t0 = time.perf_counter()
     _require_split_shape(d, p, p_floor=3)
     split = split_character(d, p, check=False)
-    unit = fundamental_unit(d)
-    h, _ = class_number(d)
     r = split.r
-    lhs = Fraction(4 * h, split.delta) * unit_log_series(d, unit.t, unit.u, 1)
+    lhs = 2 * lp1_via_class_number(field_invariants(d, p))
     euler = 1 - split.psi(p) * p ** (r - 1)
     rhs = -3 * euler * gen_bernoulli(r, split.psi) / r + gen_bernoulli(3 * r, split.psi) / (3 * r)
     return make_report(THM1, lhs, rhs, p, depth=2, d=d, started=t0)
@@ -101,14 +98,13 @@ def check_corollary_exact_division(d: int, p: int) -> CongruenceReport:
     """
     t0 = time.perf_counter()
     _require_split_shape(d, p, p_floor=5)
-    unit = fundamental_unit(d)
-    v = vp(unit.u, p)
+    inv = field_invariants(d, p)
+    v = vp(inv.u, p)
     if v != 1:
         raise ValueError(f"statement needs v_p(u) = 1; v_{p}(u) = {v} for d = {d}")
     split = split_character(d, p, check=False)
-    h, _ = class_number(d)
     r = split.r
-    lhs = Fraction(2 * h, split.delta) * Fraction(unit.u, p * unit.t)
+    lhs = Fraction(2 * inv.h, inv.delta) * Fraction(inv.u, p * inv.t)
     rhs = (3 * gen_bernoulli(r, split.psi) - gen_bernoulli(3 * r, split.psi) / 3) / p
     return make_report(COR_EXACT_DIV, lhs, rhs, p, depth=1, d=d, started=t0)
 
@@ -281,7 +277,7 @@ def _squarefree_pm_grid(d_max: int, ps: list[int]) -> list[tuple[int, int]]:
 
 
 def build_instances(cfg: ScanConfig) -> list[tuple]:
-    """The deterministic instance list for a scan config."""
+    """The instance list for a scan config, in report order: ascending (d, p, k)."""
     st = lookup(cfg.statement)
     if st.takes_d and (cfg.d_max is None or cfg.p_max is None):
         raise ValueError(f"{st.id} scans need d_max and p_max")
@@ -323,7 +319,7 @@ class ScanResult:
 
 
 def scan(cfg: ScanConfig) -> ScanResult:
-    """Run every instance of the configured grid; deterministic report order.
+    """Run every instance of the configured grid; reports in instance order.
 
     Instances are independent.  With jobs > 1 they are farmed to forked
     workers, each of which starts from a copy of the default cache and
@@ -344,7 +340,6 @@ def scan(cfg: ScanConfig) -> ScanResult:
                 continue
             result.reports.append(report)
             DEFAULT_CACHE.merge(entries)
-    result.reports.sort(key=lambda r: r.sort_key())
     # weak-divisibility alert: d^kappa | u never expected; surface any
     # p-power divisibility of u at or beyond the configured kappa
     if lookup(cfg.statement).kappa_alert:

@@ -5,17 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from quadcong.padic import (
     INF,
-    PadicContext,
     congruent,
-    diamond,
     fermat_quotient,
     is_p_integral,
     log_surrogate,
-    teichmuller,
     unit_log_series,
     vp,
 )
-from quadcong.primes import primes_up_to
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -59,20 +55,11 @@ def test_is_p_integral():
     assert is_p_integral(0, 3)
 
 
-def test_context_validation():
-    with pytest.raises(ValueError):
-        PadicContext(4, 1)
-    with pytest.raises(ValueError):
-        PadicContext(5, 4)
-    assert PadicContext(3, 1).modulus == 3  # Wilson checks run at p = 3
-    assert PadicContext(5, 2).modulus == 25
-
-
 def test_congruent_examples():
     # 2 + 1/12 = 25/12 has valuation 2 at p = 5
-    assert congruent(2, Fraction(-1, 12), PadicContext(5, 1))
-    assert congruent(2, Fraction(-1, 12), PadicContext(5, 2))
-    assert not congruent(1, 0, PadicContext(5, 1))
+    assert congruent(2, Fraction(-1, 12), 5, 1)
+    assert congruent(2, Fraction(-1, 12), 5, 2)
+    assert not congruent(1, 0, 5, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -84,14 +71,13 @@ def test_congruent_examples():
     k=st.sampled_from((1, 2, 3)),
 )
 def test_congruent_equivalence_and_depth(x, y, z, p, k):
-    ctx = PadicContext(p, k)
-    assert congruent(x, x, ctx)
-    if congruent(x, y, ctx):
-        assert congruent(y, x, ctx)
-        if congruent(y, z, ctx):
-            assert congruent(x, z, ctx)
-    if k > 1 and congruent(x, y, ctx):
-        assert congruent(x, y, PadicContext(p, k - 1))
+    assert congruent(x, x, p, k)
+    if congruent(x, y, p, k):
+        assert congruent(y, x, p, k)
+        if congruent(y, z, p, k):
+            assert congruent(x, z, p, k)
+    if k > 1 and congruent(x, y, p, k):
+        assert congruent(x, y, p, k - 1)
 
 
 def test_fermat_quotient_examples():
@@ -149,49 +135,6 @@ def test_log_surrogate_additive_mod_p3():
                 c = (a * b) % p3
                 total = log_surrogate(a, p) + log_surrogate(b, p)
                 assert vp(total - log_surrogate(c, p), p) >= 3, (p, a, b)
-
-
-def test_teichmuller_examples():
-    assert teichmuller(2, PadicContext(5, 2)) == 7
-    assert teichmuller(1, PadicContext(11, 3)) == 1
-    for a in (1, 2, 3, 4, 6):
-        assert teichmuller(a, PadicContext(7, 1)) == a % 7
-    with pytest.raises(ValueError):
-        teichmuller(10, PadicContext(5, 2))
-
-
-def test_teichmuller_root_of_unity_and_multiplicative():
-    for p in primes_up_to(50):
-        if p < 3:
-            continue
-        for k in (1, 2, 3):
-            ctx = PadicContext(p, k)
-            m = p ** k
-            omega = [None] * p
-            for a in range(1, p):
-                w = teichmuller(a, ctx)
-                omega[a] = w
-                assert pow(w, p - 1, m) == 1
-                assert (w - a) % p == 0
-            for a in range(1, p):
-                for b in range(1, p):
-                    ab = a * b
-                    assert teichmuller(ab, ctx) == omega[a] * omega[b] % m
-
-
-def test_diamond_examples_and_identity():
-    assert diamond(2, PadicContext(5, 2)) == 11
-    assert diamond(1, PadicContext(13, 2)) == 1
-    for p in (5, 7, 11):
-        for k in (1, 2, 3):
-            ctx = PadicContext(p, k)
-            m = p ** k
-            for a in range(1, 3 * p):
-                if a % p == 0:
-                    continue
-                dm = diamond(a, ctx)
-                assert dm % p == 1
-                assert dm * teichmuller(a, ctx) % m == a % m
 
 
 def test_unit_log_series_values():

@@ -177,6 +177,14 @@ def test_field_invariants():
         field_invariants(14, 5)
 
 
+def test_memoized_invariants_raise_on_every_call_for_bad_d():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            fundamental_unit(12)
+        with pytest.raises(ValueError):
+            class_number(12)
+
+
 def test_reduced_forms_match_brute_force_enumeration():
     """The sieved b-scan finds exactly the forms is_reduced accepts."""
     for d in squarefree_range(2, 120):

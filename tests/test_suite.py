@@ -6,10 +6,11 @@ from quadcong.bernoulli import bernoulli
 from quadcong.characters import split_character
 from quadcong.lseries import a1_closed_quadratic, lp1_via_class_number, lp_interp_value, wilson_quotient
 from quadcong.padic import vp
-from quadcong.quadfield import field_invariants, is_squarefree, vp_u
+from quadcong.quadfield import class_number, field_invariants, fundamental_unit, is_squarefree, vp_u
 from quadcong.suite import (
     AAC_CLASSICAL,
     LEHMER_THM2,
+    STATEMENTS,
     THM1,
     ScanConfig,
     build_instances,
@@ -236,6 +237,38 @@ def test_build_instances_thm1():
     assert build_instances(ScanConfig(statement=THM1, d_max=5, p_max=100)) == []
     with_p5 = build_instances(ScanConfig(statement=THM1, d_max=100, p_max=19, include_p5=True))
     assert (THM1, 10, 5, None) in with_p5
+
+
+def _former_report_sort_key(instance):
+    """The key scans used to sort their reports by."""
+    statement, d, p, k = instance
+    return (statement, d or 0, p, k or 0)
+
+
+@pytest.mark.parametrize("include_p5", [False, True])
+@pytest.mark.parametrize("statement", STATEMENTS)
+def test_scan_reports_come_in_sorted_instance_order(statement, include_p5):
+    """Instances are built in the order of the deleted report sort, and the
+    scan's reports already stand in that order."""
+    cfg = ScanConfig(statement=statement, d_max=150, p_min=3, p_max=31, k_max=3,
+                     include_p5=include_p5)
+    instances = build_instances(cfg)
+    assert instances
+    assert instances == sorted(instances, key=_former_report_sort_key)
+    result = scan(cfg)
+    assert not result.errors and len(result.reports) == len(instances)
+    keys = [_former_report_sort_key((r.statement_id, r.d, r.p, r.k)) for r in result.reports]
+    assert keys == sorted(keys)
+
+
+def test_scan_computes_each_field_invariant_once_per_d():
+    fundamental_unit.cache_clear()
+    class_number.cache_clear()
+    result = scan(ScanConfig(statement=THM1, d_max=300, p_max=50))
+    distinct_d = {r.d for r in result.reports}
+    assert len(result.reports) > len(distinct_d)  # some d carry two primes
+    assert fundamental_unit.cache_info().misses == len(distinct_d)
+    assert class_number.cache_info().misses == len(distinct_d)
 
 
 def test_scan_serial_and_parallel_agree():

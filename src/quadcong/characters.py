@@ -7,7 +7,7 @@ discriminant 1 (conductor 1, value 1 everywhere).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 from .primes import is_prime, is_squarefree
 
@@ -154,12 +154,10 @@ class CharacterSplit:
         return (self.p - 1) // 2
 
 
-def split_character(d: int, p: int, check: bool = True) -> CharacterSplit:
+def split_character(d: int, p: int) -> CharacterSplit:
     """Split the character of Q(sqrt(d)) at the prime p | d.
 
     Requires d squarefree, d = p*m with p > 3 prime and p coprime to m.
-    With check=True the defining pointwise identity
-    chi_D(a) = (a/p) * psi(a) is verified for every a = 1..D coprime to D.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError(f"split needs a prime p > 3, got {p}")
@@ -178,13 +176,4 @@ def split_character(d: int, p: int, check: bool = True) -> CharacterSplit:
     psi = QuadChar(dm)
     if psi.conductor != delta * delta * m:
         raise ValueError(f"split of (d={d}, p={p}) produced conductor {psi.conductor}")
-    split = CharacterSplit(d=d, p=p, m=m, delta=delta, chi_d=chi_d, psi=psi)
-    if check:
-        chiv = char_values(chi_d, D)
-        psiv = char_values(psi, D)
-        for a in range(1, D + 1):
-            if gcd(a, D) != 1:
-                continue
-            if chiv[a] != legendre(a, p) * psiv[a]:
-                raise AssertionError(f"character split identity fails at a={a}, d={d}, p={p}")
-    return split
+    return CharacterSplit(d=d, p=p, m=m, delta=delta, chi_d=chi_d, psi=psi)

@@ -76,6 +76,11 @@ class RunManifest:
 # -- bernoulli cache persistence ----------------------------------------------
 
 
+def _is_int(x) -> bool:
+    """An int and not a bool: JSON true/false and 5.0 are no index or discriminant."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _entry_valid(n, disc, num, den) -> bool:
     """Well-formedness and arithmetic sanity of one cache entry.
 
@@ -84,7 +89,9 @@ def _entry_valid(n, disc, num, den) -> bool:
     exact prime set for plain even-index values (von Staudt-Clausen),
     vanishing at odd indices > 1, and the parity/sign laws.
     """
-    if not (isinstance(n, int) and n >= 0):
+    if not (_is_int(n) and n >= 0):
+        return False
+    if disc is not None and not _is_int(disc):
         return False
     if disc is not None and disc != 1 and not is_fundamental_discriminant(disc):
         return False
@@ -130,8 +137,10 @@ def load_cache(cache_dir: str, cache: BernoulliCache | None = None) -> tuple[int
     except (OSError, json.JSONDecodeError) as exc:
         print(f"warning: unreadable cache file {path}: {exc}", file=sys.stderr)
         return 0, 0
-    if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
-        print(f"warning: cache version mismatch in {path}; rebuilding", file=sys.stderr)
+    if not (isinstance(payload, dict) and payload.get("version") == CACHE_VERSION
+            and isinstance(payload.get("entries", []), list)):
+        print(f"warning: cache version or layout mismatch in {path}; rebuilding",
+              file=sys.stderr)
         return 0, 0
     accepted = rejected = 0
     good = []
@@ -336,7 +345,7 @@ def _cmd_lfun(args: argparse.Namespace) -> int:
             "v_p_a1_agreement": str(vp(bundle.a1 - closed1, p)),
         }
     else:
-        split = split_character(args.d, p, check=False)
+        split = split_character(args.d, p)
         bundle = a_coefficients_direct(split.chi_d, p)
         closed1 = a1_closed_quadratic(split)
         obj = {
@@ -420,6 +429,19 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The --config value as the main parser reads it: `--config FILE`,
+    `--config=FILE` or an abbreviation, before the subcommand.  A malformed
+    use yields None and is left for the main parser to report."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config", default=None)
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    try:
+        return pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return None
+
+
 def _install_config(argv: list[str], subcommands: dict[str, argparse.ArgumentParser]) -> None:
     """Make each key=value line of the --config file named in argv the default
     of that flag in every subcommand that has it; explicit flags still win.
@@ -427,9 +449,9 @@ def _install_config(argv: list[str], subcommands: dict[str, argparse.ArgumentPar
     argparse converts a string default through the flag's `type`.  A switch
     (`store_true`) is turned on by true, 1 or yes.
     """
-    if "--config" not in argv or argv.index("--config") + 1 == len(argv):
+    path = _config_path(argv)
+    if path is None:
         return
-    path = argv[argv.index("--config") + 1]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             pairs = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,9 +22,7 @@ class CongruenceReport:
     """One theorem-instance verdict.
 
     lhs and rhs are the exact rational sides; holds is equivalent to
-    difference_valuation >= depth by construction.  elapsed is wall time
-    in seconds and is deliberately excluded from serialized rows so that
-    report streams are byte-reproducible.
+    difference_valuation >= depth by construction.
     """
 
     statement_id: str
@@ -37,7 +34,6 @@ class CongruenceReport:
     holds: bool
     d: int | None = None
     k: int | None = None
-    elapsed: float = 0.0
 
     def to_json_obj(self, advisory: bool = False) -> dict:
         obj = {
@@ -88,7 +84,6 @@ def make_report(
     depth: int,
     d: int | None = None,
     k: int | None = None,
-    started: float | None = None,
 ) -> CongruenceReport:
     val, holds = difference_verdict(lhs, rhs, p, depth)
     return CongruenceReport(
@@ -101,7 +96,6 @@ def make_report(
         holds=holds,
         d=d,
         k=k,
-        elapsed=0.0 if started is None else time.perf_counter() - started,
     )
 
 

@@ -21,7 +21,6 @@ printed variants preserved in the regression tests:
 """
 from __future__ import annotations
 
-import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +28,7 @@ from multiprocessing import get_context
 from typing import Callable
 
 from .bernoulli import DEFAULT_CACHE, bernoulli, gen_bernoulli
-from .characters import split_character
+from .characters import CharacterSplit, split_character
 from .lseries import lp1_via_class_number, wilson_quotient
 from .padic import vp
 from .primes import is_prime, is_squarefree, primes_up_to
@@ -46,27 +45,27 @@ THM3 = "THM3"
 SUPER_WILSON_CRIT = "SUPER_WILSON_CRIT"
 
 
-def _require_split_shape(d: int, p: int, p_floor: int) -> None:
-    if p <= p_floor or not is_prime(p):
+def _require_split_shape(d: int, p: int, p_floor: int) -> CharacterSplit:
+    """The split of Q(sqrt(d)) at p, after the statement's own p floor and d > 5.
+
+    split_character checks the rest: p prime, p exactly dividing d, d squarefree.
+    """
+    if p <= p_floor:
         raise ValueError(f"need a prime p > {p_floor}, got {p}")
     if d <= 5:
         raise ValueError(f"need d > 5, got {d}")
-    if d % p != 0 or (d // p) % p == 0:
-        raise ValueError(f"d = {d} must be p * m with p = {p} exactly dividing")
-    if not is_squarefree(d):
-        raise ValueError(f"d = {d} is not squarefree")
+    return split_character(d, p)
 
 
 def check_aac_classical(p: int) -> CongruenceReport:
     """Depth-1 congruence 2 h u / t = -B_r / r (mod p) for prime d = p = 1 mod 4."""
-    t0 = time.perf_counter()
     if p < 5 or p % 4 != 1 or not is_prime(p):
         raise ValueError(f"need a prime p = 1 mod 4, p >= 5; got {p}")
     inv = field_invariants(p)
     r = (p - 1) // 2
     lhs = Fraction(2 * inv.h * inv.u, inv.t)
     rhs = -bernoulli(r) / r
-    return make_report(AAC_CLASSICAL, lhs, rhs, p, depth=1, d=p, started=t0)
+    return make_report(AAC_CLASSICAL, lhs, rhs, p, depth=1, d=p)
 
 
 def check_theorem1(d: int, p: int) -> CongruenceReport:
@@ -79,14 +78,12 @@ def check_theorem1(d: int, p: int) -> CongruenceReport:
     side thins out, so callers gate p = 5 separately (the check itself
     stays faithful and simply reports the verdict).
     """
-    t0 = time.perf_counter()
-    _require_split_shape(d, p, p_floor=3)
-    split = split_character(d, p, check=False)
+    split = _require_split_shape(d, p, p_floor=3)
     r = split.r
     lhs = 2 * lp1_via_class_number(field_invariants(d, p))
     euler = 1 - split.psi(p) * p ** (r - 1)
     rhs = -3 * euler * gen_bernoulli(r, split.psi) / r + gen_bernoulli(3 * r, split.psi) / (3 * r)
-    return make_report(THM1, lhs, rhs, p, depth=2, d=d, started=t0)
+    return make_report(THM1, lhs, rhs, p, depth=2, d=d)
 
 
 def check_corollary_exact_division(d: int, p: int) -> CongruenceReport:
@@ -96,17 +93,15 @@ def check_corollary_exact_division(d: int, p: int) -> CongruenceReport:
     Raises if v_p(u) != 1: the statement's hypothesis fails and no verdict
     is meaningful.
     """
-    t0 = time.perf_counter()
-    _require_split_shape(d, p, p_floor=5)
+    split = _require_split_shape(d, p, p_floor=5)
     inv = field_invariants(d, p)
     v = vp(inv.u, p)
     if v != 1:
         raise ValueError(f"statement needs v_p(u) = 1; v_{p}(u) = {v} for d = {d}")
-    split = split_character(d, p, check=False)
     r = split.r
     lhs = Fraction(2 * inv.h, inv.delta) * Fraction(inv.u, p * inv.t)
     rhs = (3 * gen_bernoulli(r, split.psi) - gen_bernoulli(3 * r, split.psi) / 3) / p
-    return make_report(COR_EXACT_DIV, lhs, rhs, p, depth=1, d=d, started=t0)
+    return make_report(COR_EXACT_DIV, lhs, rhs, p, depth=1, d=d)
 
 
 def check_super_aacm_criterion(d: int, p: int) -> CongruenceReport:
@@ -114,13 +109,11 @@ def check_super_aacm_criterion(d: int, p: int) -> CongruenceReport:
 
     Contrapositive use only: failure certifies p^2 does not divide u.
     """
-    t0 = time.perf_counter()
-    _require_split_shape(d, p, p_floor=5)
-    split = split_character(d, p, check=False)
+    split = _require_split_shape(d, p, p_floor=5)
     r = split.r
     lhs = 9 * gen_bernoulli(r, split.psi)
     rhs = gen_bernoulli(3 * r, split.psi)
-    return make_report(SUPER_AACM_CRIT, lhs, rhs, p, depth=2, d=d, started=t0)
+    return make_report(SUPER_AACM_CRIT, lhs, rhs, p, depth=2, d=d)
 
 
 def check_lehmer_thm2(p: int, k: int) -> CongruenceReport:
@@ -129,24 +122,22 @@ def check_lehmer_thm2(p: int, k: int) -> CongruenceReport:
     Checked literally for any odd prime; genuinely false at p = 3 for
     k = 1 mod 3, k > 1 (see module docstring), true for p > 3.
     """
-    t0 = time.perf_counter()
     if p < 3 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     if k < 1:
         raise ValueError("k must be >= 1")
     lhs = bernoulli(k * (p - 1)) + Fraction(1, p) - 1
     rhs = k * wilson_quotient(p)
-    return make_report(LEHMER_THM2, lhs, rhs, p, depth=1, k=k, started=t0)
+    return make_report(LEHMER_THM2, lhs, rhs, p, depth=1, k=k)
 
 
 def check_lehmer_diff(p: int) -> CongruenceReport:
     """Depth-1 congruence B_{2(p-1)} - B_{p-1} = W_p (mod p)."""
-    t0 = time.perf_counter()
     if p < 3 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     lhs = bernoulli(2 * (p - 1)) - bernoulli(p - 1)
     rhs = wilson_quotient(p)
-    return make_report(LEHMER_DIFF, lhs, rhs, p, depth=1, started=t0)
+    return make_report(LEHMER_DIFF, lhs, rhs, p, depth=1)
 
 
 def check_theorem3(p: int, k: int) -> CongruenceReport:
@@ -158,7 +149,6 @@ def check_theorem3(p: int, k: int) -> CongruenceReport:
     print but contradicts its own proof and fails numerically for every
     k >= 2; both facts are pinned by tests.
     """
-    t0 = time.perf_counter()
     if p <= 5 or not is_prime(p):
         raise ValueError(f"need a prime p > 5, got {p}")
     if k < 1:
@@ -170,7 +160,7 @@ def check_theorem3(p: int, k: int) -> CongruenceReport:
     lhs = k * (p - 1) * w * (1 + p * w / 2)
     k2 = k * k
     rhs = -bernoulli(k * (p - 1)) + R + k2 * (b2 - b1) - Fraction(k2, 2) * (b2 - R)
-    return make_report(THM3, lhs, rhs, p, depth=2, k=k, started=t0)
+    return make_report(THM3, lhs, rhs, p, depth=2, k=k)
 
 
 def check_super_wilson_criterion(p: int) -> CongruenceReport:
@@ -179,13 +169,12 @@ def check_super_wilson_criterion(p: int) -> CongruenceReport:
     Contrapositive use only: failure certifies p is not super-Wilson
     (p^2 does not divide W_p).
     """
-    t0 = time.perf_counter()
     if p <= 3 or not is_prime(p):
         raise ValueError(f"need a prime p > 3, got {p}")
     R = 1 - Fraction(1, p)
     lhs = 4 * (bernoulli(p - 1) - R)
     rhs = bernoulli(2 * (p - 1)) - R
-    return make_report(SUPER_WILSON_CRIT, lhs, rhs, p, depth=2, started=t0)
+    return make_report(SUPER_WILSON_CRIT, lhs, rhs, p, depth=2)
 
 
 # -- the statement table ------------------------------------------------------
@@ -302,13 +291,19 @@ def run_instance(instance: tuple) -> CongruenceReport:
 
 
 def _worker(instance: tuple):
-    """(report, cache entries the instance inserted, error) for one instance."""
+    """(report, cache entries the instance inserted, v_p(u) or None, error).
+
+    v_p(u) is read only for rows of a `kappa_alert` statement, from the
+    unit this process already memoized for the row.
+    """
     try:
         mark = len(DEFAULT_CACHE)
         report = run_instance(instance)
-        return report, DEFAULT_CACHE.entries_since(mark), None
+        stmt, d, p, _ = instance
+        v = vp_u(d, p) if REGISTRY[stmt].kappa_alert else None
+        return report, DEFAULT_CACHE.entries_since(mark), v, None
     except Exception as exc:  # aggregated, never aborts the scan
-        return None, [], f"{instance}: {exc}"
+        return None, [], None, f"{instance}: {exc}"
 
 
 @dataclass
@@ -334,20 +329,16 @@ def scan(cfg: ScanConfig) -> ScanResult:
         else:
             pool = stack.enter_context(get_context("fork").Pool(processes=cfg.jobs))
             outcomes = pool.imap(_worker, instances, chunksize=4)
-        for report, entries, err in outcomes:
+        for report, entries, v, err in outcomes:
             if err is not None:
                 result.errors.append(err)
                 continue
             result.reports.append(report)
             DEFAULT_CACHE.merge(entries)
-    # weak-divisibility alert: d^kappa | u never expected; surface any
-    # p-power divisibility of u at or beyond the configured kappa
-    if lookup(cfg.statement).kappa_alert:
-        for rep in result.reports:
-            if rep.d is not None:
-                v = vp_u(rep.d, rep.p)
-                if v >= cfg.kappa:
-                    result.alerts.append(
-                        f"v_{rep.p}(u) = {v} >= kappa = {cfg.kappa} at d = {rep.d}"
-                    )
+            # weak-divisibility alert: d^kappa | u never expected; surface any
+            # p-power divisibility of u at or beyond the configured kappa
+            if v is not None and v >= cfg.kappa:
+                result.alerts.append(
+                    f"v_{report.p}(u) = {v} >= kappa = {cfg.kappa} at d = {report.d}"
+                )
     return result

@@ -205,7 +205,7 @@ def test_criterion_07_dual_path_agreement():
     bad = []
     n_quad = 0
     for d, p in _criterion7_grid():
-        split = split_character(d, p, check=False)
+        split = split_character(d, p)
         bundle = a_coefficients_direct(split.chi_d, p)
         if vp(bundle.a1 - a1_closed_quadratic(split), p) < 2:
             bad.append((d, p))
@@ -263,7 +263,7 @@ def test_criterion_08_exact_identities():
             problems.append(("vsc", 2 * k))
     n_bundles = 0
     for d, p in _criterion7_grid():
-        split = split_character(d, p, check=False)
+        split = split_character(d, p)
         bundle = a_coefficients_direct(split.chi_d, p)
         try:
             bundle.check_invariants()
@@ -283,7 +283,7 @@ def test_criterion_09_integration_identity():
     count = 0
     for d, p in _criterion7_grid():
         inv = field_invariants(d, p)
-        split = split_character(d, p, check=False)
+        split = split_character(d, p)
         lhs = lp1_via_class_number(inv)
         rhs = lp_interp_value(split.r, p, split) - split.r * a1_closed_quadratic(split)
         if vp(lhs - rhs, p) < 2:

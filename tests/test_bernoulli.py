@@ -314,7 +314,7 @@ def test_sun_congruence_series_proof_instance():
     from quadcong.characters import split_character
 
     for d, p in ((65, 5), (14, 7)):
-        split = split_character(d, p, check=False)
+        split = split_character(d, p)
         r = split.r
         k = (p * p + 3) // 2
         rep = sun_congruence_check(r, k, split.psi, p)

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -143,11 +144,8 @@ def test_split_validation():
 
 
 def test_split_identity_full_grid():
-    """chi_D(a) = (a/p) psi(a) for every squarefree d = p m <= 3000, 3 < p <= 200.
-
-    The construction itself asserts the pointwise identity over a full
-    period, so building each split is the check.
-    """
+    """chi_D(a) = (a/p) psi(a) for every squarefree d = p m <= 3000, 3 < p <= 200,
+    at every a = 1..D coprime to D (a full period of chi_D)."""
     count = 0
     for p in primes_up_to(200):
         if p <= 3:
@@ -155,8 +153,14 @@ def test_split_identity_full_grid():
         for m in range(1, 3000 // p + 1):
             d = p * m
             if d > 1 and m % p != 0 and is_squarefree(d):
-                split = split_character(d, p, check=True)
+                split = split_character(d, p)
                 assert isinstance(split, CharacterSplit)
+                D = split.D
+                chiv = char_values(split.chi_d, D)
+                psiv = char_values(split.psi, D)
+                for a in range(1, D + 1):
+                    if gcd(a, D) == 1:
+                        assert chiv[a] == legendre(a, p) * psiv[a], (a, d, p)
                 count += 1
     assert count > 1000
 
@@ -168,6 +172,6 @@ def test_split_parity_law():
             d = p * m
             if d <= 1 or m % p == 0 or not is_squarefree(d):
                 continue
-            s = split_character(d, p, check=False)
+            s = split_character(d, p)
             assert s.psi(-1) == (-1) ** s.r, (d, p)
             assert s.psi.conductor == s.delta ** 2 * s.m

@@ -168,15 +168,44 @@ def test_scan_all_statements_smoke(capsys):
 
 
 def test_scan_kappa_alert_machinery(capsys, monkeypatch):
-    """v_p(u) >= kappa raises a stderr alert; no desk-scale instance reaches
-    kappa = 2 honestly, so the hook is exercised with a stubbed valuation."""
+    """v_p(u) >= kappa raises a stderr alert.  Honest instances do reach
+    kappa = 2 (d = 721, see the test below), but none with d <= 60, so here
+    the hook is exercised with a stubbed valuation, serially and in workers."""
     import quadcong.suite as suite_mod
 
-    code, _, err = run_cli(capsys, "scan", "super-aacm", "--d-max", "60", "--p-max", "11")
-    assert code == 0 and "alert" not in err
-    monkeypatch.setattr(suite_mod, "vp_u", lambda d, p: 2)
-    code, _, err = run_cli(capsys, "scan", "super-aacm", "--d-max", "60", "--p-max", "11")
-    assert code == 0 and "alert: v_" in err
+    for jobs in ("1", "2"):
+        argv = ("scan", "super-aacm", "--d-max", "60", "--p-max", "11", "--jobs", jobs)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and "alert" not in err
+        with monkeypatch.context() as m:
+            m.setattr(suite_mod, "vp_u", lambda d, p: 2)
+            code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and "alert: v_" in err
+
+
+@pytest.mark.parametrize("statement", ["thm1", "super-aacm"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_kappa_alert_at_d_721(capsys, statement, jobs):
+    """d = 721 = 7 * 103 has v_7(u) = 2, the only alert of the d <= 2000, p <= 200 grid."""
+    code, _, err = run_cli(capsys, "scan", statement, "--d-max", "721", "--p-max", "7",
+                           "--jobs", jobs)
+    assert code == 0
+    alerts = [ln for ln in err.splitlines() if ln.startswith("alert:")]
+    assert alerts == ["alert: v_7(u) = 2 >= kappa = 2 at d = 721"]
+
+
+def test_scan_without_fork_exits_2(capsys, monkeypatch):
+    """Where the fork start method is unavailable, --jobs N is an input error."""
+    import quadcong.suite as suite_mod
+
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(suite_mod, "get_context", no_fork)
+    code, out, err = run_cli(capsys, "scan", "thm1", "--d-max", "60", "--p-max", "11",
+                             "--jobs", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_table1_mandatory_row(capsys):
@@ -259,6 +288,35 @@ def test_cache_version_mismatch_ignored(tmp_path):
     assert fresh.get(2, None) is None
 
 
+@pytest.mark.parametrize("entries", [
+    [{"n": 2, "disc": "5", "num": "4", "den": "5"}],   # string discriminant
+    [{"n": 2, "disc": 5.0, "num": "4", "den": "5"}],   # float discriminant
+    [{"n": True, "disc": None, "num": "-1", "den": "2"}],  # bool index
+    [5, "entry", None],                                # entries that are no objects
+])
+def test_cache_drops_entries_of_the_wrong_type(tmp_path, capsys, entries):
+    with open(tmp_path / CACHE_FILE, "w") as fh:
+        json.dump({"version": 1, "entries": entries}, fh)
+    fresh = BernoulliCache()
+    before = list(fresh.entries())
+    assert load_cache(str(tmp_path), fresh) == (0, len(entries))
+    assert list(fresh.entries()) == before
+    code, out, err = run_cli(capsys, "bernoulli", "--n", "4", "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["value"] == "-1/30"
+    assert "dropped" in err
+    stored = json.loads((tmp_path / CACHE_FILE).read_text())["entries"]
+    assert all(isinstance(e["disc"], (int, type(None))) for e in stored)
+
+
+def test_cache_entries_not_a_list_rebuilds(tmp_path, capsys):
+    with open(tmp_path / CACHE_FILE, "w") as fh:
+        json.dump({"version": 1, "entries": 5}, fh)
+    assert load_cache(str(tmp_path), BernoulliCache()) == (0, 0)
+    code, out, err = run_cli(capsys, "bernoulli", "--n", "4", "--cache-dir", str(tmp_path))
+    assert code == 0 and "rebuilding" in err
+    assert json.loads((tmp_path / CACHE_FILE).read_text())["entries"]
+
+
 def test_entry_validation_rules():
     assert _entry_valid(12, None, -691, 2730)
     assert not _entry_valid(12, None, -690, 2730)   # not lowest terms
@@ -288,6 +346,16 @@ def test_config_file_defaults_flags_win(tmp_path, capsys):
     )
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert max(r["k"] for r in rows) == 1
+
+
+@pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"]])
+def test_config_file_other_spellings(tmp_path, capsys, spelling):
+    """--config=FILE and an abbreviation read the file as --config FILE does."""
+    conf = tmp_path / "aac.conf"
+    conf.write_text("p=13\n")
+    code, out, _ = run_cli(capsys, *[a.format(conf) for a in spelling], "verify", "aac")
+    assert code == 0
+    assert json.loads(out)["p"] == 13
 
 
 def test_config_file_serves_several_subcommands(tmp_path, capsys):

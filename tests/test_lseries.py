@@ -100,7 +100,7 @@ def test_direct_coefficients_principal():
 
 
 def test_direct_coefficients_quadratic():
-    split = split_character(14, 7, check=False)
+    split = split_character(14, 7)
     bundle = a_coefficients_direct(split.chi_d, 7)
     assert bundle.a_minus1 == 0
     assert bundle.F == 56
@@ -113,7 +113,7 @@ def test_direct_coefficients_quadratic():
 
 def test_bundle_invariants_on_grid():
     for d, p in quad_grid((7, 11, 13), 200):
-        split = split_character(d, p, check=False)
+        split = split_character(d, p)
         bundle = a_coefficients_direct(split.chi_d, p)
         bundle.check_invariants()  # raises on violation
 
@@ -143,7 +143,7 @@ def test_dual_path_principal():
 
 def test_a1_closed_quadratic_dual_path():
     for d, p in ((14, 7), (65, 5), (15, 5), (33, 11)):
-        split = split_character(d, p, check=False)
+        split = split_character(d, p)
         closed = a1_closed_quadratic(split)
         direct = a_coefficients_direct(split.chi_d, p).a1
         assert vp(closed - direct, p) >= 2, (d, p)
@@ -151,7 +151,7 @@ def test_a1_closed_quadratic_dual_path():
 
 
 def test_a1_closed_quadratic_refuses_d5():
-    split = split_character(5, 5, check=False)
+    split = split_character(5, 5)
     with pytest.raises(ValueError):
         a1_closed_quadratic(split)
 
@@ -163,7 +163,7 @@ def test_plain_bernoulli_reading_fails():
     the dual-path agreement and the |a1|_p < 1 bound.  This pins down the
     generalized-Bernoulli reading as the correct one.
     """
-    split = split_character(14, 7, check=False)
+    split = split_character(14, 7)
     plain = a1_closed_quadratic_plain_bernoulli(split)
     direct = a_coefficients_direct(split.chi_d, 7).a1
     assert vp(plain - direct, 7) < 2
@@ -173,7 +173,7 @@ def test_plain_bernoulli_reading_fails():
 
 
 def test_lp_interp_value_quadratic():
-    split = split_character(14, 7, check=False)
+    split = split_character(14, 7)
     # psi(7) = -1, B_{3,psi} = 9: -(1 + 49) * 9/3 = -150
     assert lp_interp_value(3, 7, split) == -150
     with pytest.raises(ValueError):
@@ -189,7 +189,7 @@ def test_lp_interp_value_principal():
 
 def test_euler_factor_trivial_mod_p2_for_p_gt_5():
     for d, p in ((14, 7), (33, 11), (26, 13)):
-        split = split_character(d, p, check=False)
+        split = split_character(d, p)
         euler = 1 - split.psi(p) * Fraction(p) ** (split.r - 1)
         assert vp(euler - 1, p) >= 2, (d, p)
 
@@ -231,7 +231,7 @@ def test_lp1_flags_p_dividing_t():
 def test_series_congruences_quadratic():
     """L_p(1-m) = L_p(1-n) mod p, and mod p^2 after the a_1 (m-n) shift."""
     for d, p in quad_grid((7, 11, 13), 150):
-        split = split_character(d, p, check=False)
+        split = split_character(d, p)
         r = split.r
         m, n = r + (p - 1), r
         vm = lp_interp_value(m, p, split)

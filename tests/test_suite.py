@@ -196,7 +196,7 @@ def test_soundness_link_two_evaluation_paths():
     for d, p in ((14, 7), (21, 7), (65, 5), (33, 11), (26, 13)):
         rep = check_theorem1(d, p)
         inv = field_invariants(d, p)
-        split = split_character(d, p, check=False)
+        split = split_character(d, p)
         assert rep.lhs == 2 * lp1_via_class_number(inv)
         assert rep.rhs == 2 * (
             lp_interp_value(split.r, p, split) - split.r * a1_closed_quadratic(split)
@@ -212,7 +212,7 @@ def test_integration_identity_small_grid():
             if d <= 5 or m % p == 0 or not is_squarefree(d):
                 continue
             inv = field_invariants(d, p)
-            split = split_character(d, p, check=False)
+            split = split_character(d, p)
             lhs = lp1_via_class_number(inv)
             rhs = lp_interp_value(split.r, p, split) - split.r * a1_closed_quadratic(split)
             assert vp(lhs - rhs, p) >= 2, (d, p)
@@ -283,6 +283,14 @@ def test_scan_serial_and_parallel_agree():
     assert all(rep.holds for rep in r1.reports)
 
 
+def test_parallel_scan_computes_no_unit_in_the_parent():
+    """The kappa alert's v_p(u) comes from the worker that computed the row."""
+    fundamental_unit.cache_clear()
+    result = scan(ScanConfig(statement=THM1, d_max=300, p_max=50, jobs=2))
+    assert result.reports and not result.errors
+    assert fundamental_unit.cache_info().misses == 0
+
+
 def test_scan_aggregates_instance_errors():
     """Scans never abort; the p = 3 defect instance simply reports False."""
     cfg = ScanConfig(statement=LEHMER_THM2, p_min=3, p_max=7, k_max=5)
@@ -304,11 +312,11 @@ def test_worker_error_aggregation():
     """A failing instance inside a pool worker comes back as an error record."""
     from quadcong.suite import _worker
 
-    report, entries, err = _worker(("UNKNOWN", None, 7, None))
-    assert report is None and entries == []
+    report, entries, v, err = _worker(("UNKNOWN", None, 7, None))
+    assert report is None and entries == [] and v is None
     assert err is not None and "UNKNOWN" in err
-    report, entries, err = _worker((AAC_CLASSICAL, None, 13, None))
-    assert err is None and report.holds
+    report, entries, v, err = _worker((AAC_CLASSICAL, None, 13, None))
+    assert err is None and report.holds and v is None
 
 
 def test_registry_grids_match_check_guards():

@@ -5,7 +5,7 @@ Conventions matter here and are easy to get wrong:
 * plain B_n follows the generating function x/(e^x - 1), so B_1 = -1/2;
 * the principal character's sequence follows t e^t/(e^t - 1) instead, so
   its index-1 value is +1/2 while agreeing with B_n everywhere else.
-  The two live under distinct cache keys (disc None vs disc 1).
+  It is answered from the plain values and has no cache key of its own.
 
 Plain even B_n come from tangent numbers (Brent & Harvey,
 arXiv:1108.0286) in integers; B_{n,chi} from integer power sums of chi,
@@ -172,9 +172,9 @@ class BernoulliCache:
 DEFAULT_CACHE = BernoulliCache()
 
 
-def bernoulli(n: int, cache: BernoulliCache | None = None) -> Fraction:
+def bernoulli(n: int) -> Fraction:
     """B_n with B_1 = -1/2 (odd indices > 1 vanish)."""
-    return (cache or DEFAULT_CACHE).bernoulli(n)
+    return DEFAULT_CACHE.bernoulli(n)
 
 
 def bernoulli_poly(n: int, x: Fraction | int) -> Fraction:
@@ -193,9 +193,9 @@ def bernoulli_poly(n: int, x: Fraction | int) -> Fraction:
     return total
 
 
-def gen_bernoulli(n: int, chi: QuadChar, cache: BernoulliCache | None = None) -> Fraction:
+def gen_bernoulli(n: int, chi: QuadChar) -> Fraction:
     """Generalized Bernoulli number B_{n,chi} (exact rational)."""
-    return (cache or DEFAULT_CACHE).gen_bernoulli(n, chi)
+    return DEFAULT_CACHE.gen_bernoulli(n, chi)
 
 
 # -- power sums -------------------------------------------------------------

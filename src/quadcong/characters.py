@@ -110,11 +110,11 @@ def char_values(chi: QuadChar, n: int) -> list[int]:
     Complete multiplicativity of the bottom argument of the Kronecker
     symbol lets us evaluate only at primes.
     """
+    if chi.is_principal:
+        return [1] * (n + 1)
     vals = [0] * (n + 1)
     if n >= 1:
         vals[1] = 1
-    if chi.is_principal:
-        return [1] * (n + 1)
     spf = list(range(n + 1))
     for p in range(2, isqrt(n) + 1):
         if spf[p] == p:

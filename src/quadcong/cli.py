@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -45,40 +44,19 @@ TABLE1_ROWS = (
 )
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    version: str
-    wall_time_s: float
-    instances: int
-    passed: int
-    failed: int
-    errors: int
-
-    def to_json(self) -> str:
-        obj = {
-            "command": self.command,
-            "config": self.config,
-            "version": self.version,
-            "wall_time_s": round(self.wall_time_s, 3),
-            "instances": self.instances,
-            "passed": self.passed,
-            "failed": self.failed,
-            "errors": self.errors,
-        }
-        return json.dumps(obj, sort_keys=True)
-
-    def consistent(self) -> bool:
-        return self.passed + self.failed + self.errors == self.instances
-
-
 # -- bernoulli cache persistence ----------------------------------------------
 
 
 def _is_int(x) -> bool:
     """An int and not a bool: JSON true/false and 5.0 are no index or discriminant."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _cache_int(x) -> int | None:
+    """A stored num or den: a non-bool int or the decimal string store_cache writes."""
+    if isinstance(x, str) and x.removeprefix("-").isdecimal() and str(int(x)) == x:
+        return int(x)
+    return x if _is_int(x) else None
 
 
 def _entry_valid(n, disc, num, den) -> bool:
@@ -91,9 +69,7 @@ def _entry_valid(n, disc, num, den) -> bool:
     """
     if not (_is_int(n) and n >= 0):
         return False
-    if disc is not None and not _is_int(disc):
-        return False
-    if disc is not None and disc != 1 and not is_fundamental_discriminant(disc):
+    if disc is not None and not (_is_int(disc) and is_fundamental_discriminant(disc)):
         return False
     if not (isinstance(num, int) and isinstance(den, int) and den > 0):
         return False
@@ -116,7 +92,7 @@ def _entry_valid(n, disc, num, den) -> bool:
             return False
     else:
         parity = 1 if disc > 0 else -1
-        if disc != 1 and n >= 1 and parity != (-1) ** n:
+        if n >= 1 and parity != (-1) ** n:
             return num == 0 and den == 1
     return True
 
@@ -142,26 +118,21 @@ def load_cache(cache_dir: str, cache: BernoulliCache | None = None) -> tuple[int
         print(f"warning: cache version or layout mismatch in {path}; rebuilding",
               file=sys.stderr)
         return 0, 0
-    accepted = rejected = 0
+    entries = payload.get("entries", [])
     good = []
-    for entry in payload.get("entries", []):
+    for entry in entries:
         try:
-            n = entry["n"]
-            disc = entry["disc"]
-            num = int(entry["num"])
-            den = int(entry["den"])
-        except (KeyError, TypeError, ValueError):
-            rejected += 1
+            n, disc = entry["n"], entry["disc"]
+            num, den = _cache_int(entry["num"]), _cache_int(entry["den"])
+        except (KeyError, TypeError, ValueError):  # ValueError: past int_max_str_digits
             continue
-        if not _entry_valid(n, disc, num, den):
-            rejected += 1
-            continue
-        good.append((n, disc, Fraction(num, den)))
-        accepted += 1
+        if _entry_valid(n, disc, num, den):
+            good.append((n, disc, Fraction(num, den)))
+    rejected = len(entries) - len(good)
     if rejected:
         print(f"warning: dropped {rejected} corrupt cache entries from {path}", file=sys.stderr)
     c.merge(good)
-    return accepted, rejected
+    return len(good), rejected
 
 
 def store_cache(cache_dir: str, cache: BernoulliCache | None = None) -> str:
@@ -194,12 +165,25 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _render_reports(reports: list[CongruenceReport], fmt: str,
-                    advisory_flags: list[bool] | None = None) -> list[str]:
-    flags = advisory_flags or [False] * len(reports)
+def _render_reports(reports: list[CongruenceReport], fmt: str, flags: list[bool]) -> list[str]:
     if fmt == "csv":
         return [CSV_HEADER] + [r.to_csv_row(advisory=f) for r, f in zip(reports, flags)]
     return [r.to_json_line(advisory=f) for r, f in zip(reports, flags)]
+
+
+def _print_manifest(args: argparse.Namespace, t0: float, passed: int, failed: int,
+                    errors: int = 0) -> None:
+    """The run manifest on stderr: `instances` counts the rows with a verdict."""
+    print(json.dumps({
+        "command": args.command,
+        "config": _echo_config(args),
+        "version": __version__,
+        "wall_time_s": round(time.perf_counter() - t0, 3),
+        "instances": passed + failed,
+        "passed": passed,
+        "failed": failed,
+        "errors": errors,
+    }, sort_keys=True), file=sys.stderr)
 
 
 def _is_advisory(report: CongruenceReport) -> bool:
@@ -234,12 +218,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.statement} {need} --{flag}")
     report = run_instance((st.id, args.d, args.p, args.k))
     _emit(_render_reports([report], args.format, [_is_advisory(report)]), args.out)
-    manifest = RunManifest(
-        command="verify", config=_echo_config(args), version=__version__,
-        wall_time_s=time.perf_counter() - t0, instances=1,
-        passed=int(report.holds), failed=int(not report.holds), errors=0,
-    )
-    print(manifest.to_json(), file=sys.stderr)
+    _print_manifest(args, t0, int(report.holds), int(not report.holds))
     return 0 if report.holds else 1
 
 
@@ -258,14 +237,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     ))
     flags = [_is_advisory(r) for r in result.reports]
     _emit(_render_reports(result.reports, args.format, flags), args.out)
-    manifest = RunManifest(
-        command="scan", config=_echo_config(args), version=__version__,
-        wall_time_s=time.perf_counter() - t0, instances=len(result.reports),
-        passed=sum(r.holds for r in result.reports),
-        failed=sum(not r.holds for r in result.reports),
-        errors=len(result.errors),
-    )
-    print(manifest.to_json(), file=sys.stderr)
+    passed = sum(r.holds for r in result.reports)
+    _print_manifest(args, t0, passed, len(result.reports) - passed, len(result.errors))
     for err in result.errors:
         print(f"error: {err}", file=sys.stderr)
     for alert in result.alerts:
@@ -281,12 +254,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     lines = []
-    passed = failed = skipped = 0
+    passed = failed = 0
     for d, fac, h_ref, p, vpu_ref, long_run in TABLE1_ROWS:
         if long_run and not args.long_running:
             lines.append(json.dumps({"d": d, "skipped": "requires --long-running"},
                                     sort_keys=True))
-            skipped += 1
             continue
         fac_got = factorize(d)
         inv = field_invariants(d, p)
@@ -307,12 +279,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         passed += int(ok)
         failed += int(not ok)
     _emit(lines, args.out)
-    manifest = RunManifest(
-        command="table1", config=_echo_config(args), version=__version__,
-        wall_time_s=time.perf_counter() - t0, instances=passed + failed + skipped,
-        passed=passed, failed=failed, errors=skipped,
-    )
-    print(manifest.to_json(), file=sys.stderr)
+    _print_manifest(args, t0, passed, failed)
     return 0 if failed == 0 else 1
 
 
@@ -334,15 +301,8 @@ def _cmd_lfun(args: argparse.Namespace) -> int:
         closed1 = a1_closed_principal(p)
         obj = {
             "character": "principal",
-            "p": p,
-            "F": bundle.F,
-            "a_minus1": rational_str(bundle.a_minus1),
-            "a0_direct": rational_str(bundle.a0),
-            "a1_direct": rational_str(bundle.a1),
             "a0_closed": rational_str(closed0),
-            "a1_closed": rational_str(closed1),
             "v_p_a0_agreement": str(vp(bundle.a0 - closed0, p)),
-            "v_p_a1_agreement": str(vp(bundle.a1 - closed1, p)),
         }
     else:
         split = split_character(args.d, p)
@@ -350,16 +310,18 @@ def _cmd_lfun(args: argparse.Namespace) -> int:
         closed1 = a1_closed_quadratic(split)
         obj = {
             "character": f"quadratic disc {split.chi_d.discriminant}",
-            "p": p,
             "d": args.d,
             "psi_disc": split.psi.discriminant,
-            "F": bundle.F,
-            "a_minus1": rational_str(bundle.a_minus1),
-            "a0_direct": rational_str(bundle.a0),
-            "a1_direct": rational_str(bundle.a1),
-            "a1_closed": rational_str(closed1),
-            "v_p_a1_agreement": str(vp(bundle.a1 - closed1, p)),
         }
+    obj.update({
+        "p": p,
+        "F": bundle.F,
+        "a_minus1": rational_str(bundle.a_minus1),
+        "a0_direct": rational_str(bundle.a0),
+        "a1_direct": rational_str(bundle.a1),
+        "a1_closed": rational_str(closed1),
+        "v_p_a1_agreement": str(vp(bundle.a1 - closed1, p)),
+    })
     _emit([json.dumps(obj, sort_keys=True)], args.out)
     return 0
 
@@ -368,8 +330,7 @@ def _cmd_lfun(args: argparse.Namespace) -> int:
 
 
 def _echo_config(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:

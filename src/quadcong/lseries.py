@@ -164,14 +164,15 @@ def a1_closed_quadratic(split: CharacterSplit) -> Fraction:
     """Closed form of a_1 for the character of Q(sqrt d), d = p m > 5.
 
     -(B_{3r,psi}/3 - (1 - psi(p) p^(r-1)) B_{r,psi}) / (2 r^2) with
-    r = (p-1)/2.  Refuses d = 5, where two extra power-sum contributions
-    survive mod 25 and the plain formula is wrong.
+    r = (p-1)/2, that is -(B_{3r,psi}/3 + r L_p(1-r, psi)) / (2 r^2).
+    Refuses d = 5, where two extra power-sum contributions survive mod 25
+    and the plain formula is wrong.
     """
     if split.d == 5:
         raise ValueError("d = 5 carries correction terms this closed form omits")
-    p, r, psi = split.p, split.r, split.psi
-    euler = 1 - psi(p) * p ** (r - 1)
-    return -(gen_bernoulli(3 * r, psi) / 3 - euler * gen_bernoulli(r, psi)) / (2 * r * r)
+    r = split.r
+    lp = lp_interp_value(r, split.p, split)
+    return -(gen_bernoulli(3 * r, split.psi) / 3 + r * lp) / (2 * r * r)
 
 
 def a1_closed_quadratic_plain_bernoulli(split: CharacterSplit) -> Fraction:

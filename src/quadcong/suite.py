@@ -29,7 +29,8 @@ from typing import Callable
 
 from .bernoulli import DEFAULT_CACHE, bernoulli, gen_bernoulli
 from .characters import CharacterSplit, split_character
-from .lseries import lp1_via_class_number, wilson_quotient
+from .lseries import (a0_closed_principal, a1_closed_principal, lp1_via_class_number,
+                      lp_interp_value, wilson_quotient)
 from .padic import vp
 from .primes import is_prime, is_squarefree, primes_up_to
 from .quadfield import field_invariants, vp_u
@@ -72,7 +73,8 @@ def check_theorem1(d: int, p: int) -> CongruenceReport:
     """Depth-2 unit/class-number congruence for d = p m squarefree, d > 5.
 
     (4h/delta)(u/t + (d/3)(u/t)^3)
-        = -3 (1 - psi(p) p^(r-1)) B_{r,psi}/r + B_{3r,psi}/(3r)  (mod p^2).
+        = -3 (1 - psi(p) p^(r-1)) B_{r,psi}/r + B_{3r,psi}/(3r)  (mod p^2),
+    whose first term is 3 L_p(1-r, psi).
 
     Defined for p > 3; at p = 5 the truncation argument behind the left
     side thins out, so callers gate p = 5 separately (the check itself
@@ -81,8 +83,7 @@ def check_theorem1(d: int, p: int) -> CongruenceReport:
     split = _require_split_shape(d, p, p_floor=3)
     r = split.r
     lhs = 2 * lp1_via_class_number(field_invariants(d, p))
-    euler = 1 - split.psi(p) * p ** (r - 1)
-    rhs = -3 * euler * gen_bernoulli(r, split.psi) / r + gen_bernoulli(3 * r, split.psi) / (3 * r)
+    rhs = 3 * lp_interp_value(r, p, split) + gen_bernoulli(3 * r, split.psi) / (3 * r)
     return make_report(THM1, lhs, rhs, p, depth=2, d=d)
 
 
@@ -145,7 +146,9 @@ def check_theorem3(p: int, k: int) -> CongruenceReport:
 
     k(p-1) W_p (1 + p W_p / 2)
         = -B_{k(p-1)} + R + k^2 (B_{2(p-1)} - B_{p-1}) - (k^2/2)(B_{2(p-1)} - R)
-    (mod p^2), R = 1 - 1/p.  The variant with k in place of k^2 appears in
+    (mod p^2), R = 1 - 1/p.  Both sides are read from the series of
+    L_p(1-s, chi_0): the left is k(p-1) a_0, and the Bernoulli block is
+    -k^2 (p-1)^2 a_1.  The variant with k in place of k^2 appears in
     print but contradicts its own proof and fails numerically for every
     k >= 2; both facts are pinned by tests.
     """
@@ -153,13 +156,9 @@ def check_theorem3(p: int, k: int) -> CongruenceReport:
         raise ValueError(f"need a prime p > 5, got {p}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    w = wilson_quotient(p)
     R = 1 - Fraction(1, p)
-    b1 = bernoulli(p - 1)
-    b2 = bernoulli(2 * (p - 1))
-    lhs = k * (p - 1) * w * (1 + p * w / 2)
-    k2 = k * k
-    rhs = -bernoulli(k * (p - 1)) + R + k2 * (b2 - b1) - Fraction(k2, 2) * (b2 - R)
+    lhs = k * (p - 1) * a0_closed_principal(p)
+    rhs = -bernoulli(k * (p - 1)) + R - (k * (p - 1)) ** 2 * a1_closed_principal(p)
     return make_report(THM3, lhs, rhs, p, depth=2, k=k)
 
 
@@ -189,7 +188,7 @@ class Statement:
     `takes_d` statements every squarefree d = p m > 5 (p not dividing m)
     up to d_max that `admits` accepts.  A detector's "holds" is the
     anomaly, not the expectation.  Rows at `advisory_p` are reported but
-    never gate.  `kappa_alert` scans flag v_p(u) >= kappa.
+    never gate.  Scans of `takes_d` statements flag v_p(u) >= kappa.
     """
 
     id: str
@@ -201,18 +200,17 @@ class Statement:
     admits: Callable[[int, int], bool] | None = None
     detector: bool = False
     advisory_p: int | None = None
-    kappa_alert: bool = False
 
 
 REGISTRY: dict[str, Statement] = {s.id: s for s in (
     Statement(AAC_CLASSICAL, "aac", check_aac_classical,
               p_ok=lambda p: p % 4 == 1 and p >= 5),
     Statement(THM1, "thm1", check_theorem1, p_ok=lambda p: p >= 7, takes_d=True,
-              advisory_p=5, kappa_alert=True),
+              advisory_p=5),
     Statement(COR_EXACT_DIV, "cor-exact-div", check_corollary_exact_division,
               p_ok=lambda p: p >= 7, takes_d=True, admits=lambda d, p: vp_u(d, p) == 1),
     Statement(SUPER_AACM_CRIT, "super-aacm", check_super_aacm_criterion,
-              p_ok=lambda p: p >= 7, takes_d=True, detector=True, kappa_alert=True),
+              p_ok=lambda p: p >= 7, takes_d=True, detector=True),
     Statement(LEHMER_THM2, "lehmer2", check_lehmer_thm2, p_ok=lambda p: p >= 3, takes_k=True),
     Statement(LEHMER_DIFF, "lehmer-diff", check_lehmer_diff, p_ok=lambda p: p >= 3),
     Statement(THM3, "thm3", check_theorem3, p_ok=lambda p: p > 5, takes_k=True),
@@ -293,14 +291,14 @@ def run_instance(instance: tuple) -> CongruenceReport:
 def _worker(instance: tuple):
     """(report, cache entries the instance inserted, v_p(u) or None, error).
 
-    v_p(u) is read only for rows of a `kappa_alert` statement, from the
-    unit this process already memoized for the row.
+    v_p(u) is read for every row that has a d, from the unit this process
+    already memoized for the row.
     """
     try:
         mark = len(DEFAULT_CACHE)
         report = run_instance(instance)
-        stmt, d, p, _ = instance
-        v = vp_u(d, p) if REGISTRY[stmt].kappa_alert else None
+        _, d, p, _ = instance
+        v = None if d is None else vp_u(d, p)
         return report, DEFAULT_CACHE.entries_since(mark), v, None
     except Exception as exc:  # aggregated, never aborts the scan
         return None, [], None, f"{instance}: {exc}"

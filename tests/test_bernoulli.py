@@ -351,14 +351,14 @@ def test_cache_entries_since_returns_the_insertions_in_order():
     cache = BernoulliCache()
     assert cache.entries_since(len(cache)) == []
     mark = len(cache)
-    gen_bernoulli(4, CHI8N, cache)
+    cache.gen_bernoulli(4, CHI8N)
     assert cache.entries_since(mark) == [
         (2, None, Fraction(1, 6)),
         (4, None, Fraction(-1, 30)),
         (4, -8, Fraction(0)),
     ]
     mark = len(cache)
-    gen_bernoulli(3, CHI8N, cache)
+    cache.gen_bernoulli(3, CHI8N)
     assert cache.entries_since(mark) == [(3, -8, Fraction(9))]
     assert cache.entries_since(len(cache)) == []
 

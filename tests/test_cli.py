@@ -10,7 +10,6 @@ from fractions import Fraction
 from quadcong.bernoulli import BernoulliCache
 from quadcong.cli import (
     CACHE_FILE,
-    RunManifest,
     _entry_valid,
     load_cache,
     main,
@@ -183,15 +182,17 @@ def test_scan_kappa_alert_machinery(capsys, monkeypatch):
         assert code == 0 and "alert: v_" in err
 
 
-@pytest.mark.parametrize("statement", ["thm1", "super-aacm"])
+@pytest.mark.parametrize("statement", ["thm1", "super-aacm", "cor-exact-div"])
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_scan_kappa_alert_at_d_721(capsys, statement, jobs):
-    """d = 721 = 7 * 103 has v_7(u) = 2, the only alert of the d <= 2000, p <= 200 grid."""
+    """d = 721 = 7 * 103 has v_7(u) = 2, the only alert of the d <= 2000, p <= 200 grid.
+    COR admits only rows with v_p(u) = 1, so its scan never alerts."""
     code, _, err = run_cli(capsys, "scan", statement, "--d-max", "721", "--p-max", "7",
                            "--jobs", jobs)
     assert code == 0
     alerts = [ln for ln in err.splitlines() if ln.startswith("alert:")]
-    assert alerts == ["alert: v_7(u) = 2 >= kappa = 2 at d = 721"]
+    expected = [] if statement == "cor-exact-div" else ["alert: v_7(u) = 2 >= kappa = 2 at d = 721"]
+    assert alerts == expected
 
 
 def test_scan_without_fork_exits_2(capsys, monkeypatch):
@@ -293,6 +294,10 @@ def test_cache_version_mismatch_ignored(tmp_path):
     [{"n": 2, "disc": 5.0, "num": "4", "den": "5"}],   # float discriminant
     [{"n": True, "disc": None, "num": "-1", "den": "2"}],  # bool index
     [5, "entry", None],                                # entries that are no objects
+    [{"n": 2, "disc": None, "num": 1.9, "den": 6}],    # float num, int() would truncate it
+    [{"n": 2, "disc": None, "num": True, "den": 6}],   # bool num
+    [{"n": 2, "disc": None, "num": "1.9", "den": "6"}],  # no decimal integer string
+    [{"n": 2, "disc": None, "num": "1", "den": " 6"}],   # not as store_cache writes it
 ])
 def test_cache_drops_entries_of_the_wrong_type(tmp_path, capsys, entries):
     with open(tmp_path / CACHE_FILE, "w") as fh:
@@ -306,6 +311,28 @@ def test_cache_drops_entries_of_the_wrong_type(tmp_path, capsys, entries):
     assert "dropped" in err
     stored = json.loads((tmp_path / CACHE_FILE).read_text())["entries"]
     assert all(isinstance(e["disc"], (int, type(None))) for e in stored)
+
+
+def test_cache_drops_principal_character_key(tmp_path, capsys):
+    """Nothing stores (n, 1): the principal character reads plain B_n."""
+    assert not _entry_valid(3, 1, 7, 1)
+    with open(tmp_path / CACHE_FILE, "w") as fh:
+        json.dump({"version": 1, "entries": [{"n": 3, "disc": 1, "num": "7", "den": "1"}]}, fh)
+    assert load_cache(str(tmp_path), BernoulliCache()) == (0, 1)
+    code, out, err = run_cli(capsys, "bernoulli", "--n", "2", "--cache-dir", str(tmp_path))
+    assert code == 0 and "dropped 1" in err
+    stored = json.loads((tmp_path / CACHE_FILE).read_text())["entries"]
+    assert stored and all(e["disc"] != 1 for e in stored)
+
+
+def test_cache_accepts_int_and_canonical_string_fields(tmp_path):
+    entries = [{"n": 2, "disc": None, "num": 1, "den": 6},
+               {"n": 4, "disc": None, "num": "-1", "den": "30"}]
+    with open(tmp_path / CACHE_FILE, "w") as fh:
+        json.dump({"version": 1, "entries": entries}, fh)
+    fresh = BernoulliCache()
+    assert load_cache(str(tmp_path), fresh) == (2, 0)
+    assert fresh.get(2, None) == Fraction(1, 6) and fresh.get(4, None) == Fraction(-1, 30)
 
 
 def test_cache_entries_not_a_list_rebuilds(tmp_path, capsys):
@@ -424,10 +451,17 @@ def test_scan_exit_code_contract_property():
 def test_manifest_tallies_consistent(capsys):
     _, _, err = run_cli(capsys, "scan", "lehmer2", "--p-min", "5", "--p-max", "30")
     manifest = json.loads(err.strip().splitlines()[0])
-    rm = RunManifest(**{k: manifest[k] for k in (
-        "command", "config", "version", "wall_time_s", "instances", "passed", "failed", "errors",
-    )})
-    assert rm.consistent()
+    assert sorted(manifest) == ["command", "config", "errors", "failed", "instances",
+                                "passed", "version", "wall_time_s"]
+    assert manifest["passed"] + manifest["failed"] == manifest["instances"] > 0
+
+
+def test_table1_manifest_counts_no_skipped_row_as_an_error(capsys):
+    code, out, err = run_cli(capsys, "table1")
+    assert code == 0
+    assert sum("skipped" in json.loads(line) for line in out.splitlines()) == 2
+    manifest = json.loads(err.strip().splitlines()[-1])
+    assert (manifest["instances"], manifest["passed"], manifest["errors"]) == (1, 1, 0)
 
 
 def test_serial_and_parallel_scans_persist_the_same_cache(tmp_path):

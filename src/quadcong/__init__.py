@@ -19,7 +19,6 @@ from .padic import (
 from .characters import (
     CharacterSplit,
     QuadChar,
-    eval_char,
     is_fundamental_discriminant,
     kronecker,
     legendre,
@@ -41,7 +40,6 @@ from .bernoulli import (
 from .quadfield import (
     ClassNumber,
     FieldInvariants,
-    QuadraticForm,
     UnitData,
     class_number,
     field_invariants,

@@ -94,14 +94,10 @@ class QuadChar:
         return 1 if self.discriminant > 0 else -1
 
     def __call__(self, a: int) -> int:
-        return eval_char(self, a)
-
-
-def eval_char(chi: QuadChar, a: int) -> int:
-    """chi(a); zero whenever gcd(a, conductor) > 1, and 1 everywhere if principal."""
-    if chi.is_principal:
-        return 1
-    return kronecker(chi.discriminant, a)
+        """chi(a); zero whenever gcd(a, conductor) > 1, and 1 everywhere if principal."""
+        if self.is_principal:
+            return 1
+        return kronecker(self.discriminant, a)
 
 
 def char_values(chi: QuadChar, n: int) -> list[int]:

@@ -1,7 +1,8 @@
 """Command-line front end: verify, scan, table1, bernoulli, lfun.
 
 Exit codes: 0 every checked congruence holds (or, for detector scans,
-finished cleanly), 1 a congruence check failed, 2 usage or input error.
+finished cleanly), 1 a congruence check failed, 2 usage, input or I/O
+error (an unreadable config, an unwritable --out or cache directory).
 Report rows go to stdout (or --out) as JSON-lines or CSV with rationals
 serialized exactly; the run manifest goes to stderr so that the report
 stream stays byte-for-byte reproducible.
@@ -26,7 +27,7 @@ from .lseries import (
     a_coefficients_direct,
 )
 from .padic import vp
-from .primes import factorize, is_prime
+from .primes import divisors, factorize, is_prime
 from .quadfield import field_invariants
 from .reports import CSV_HEADER, CongruenceReport, rational_str
 from .suite import DETECTORS, REGISTRY, ScanConfig, run_instance, scan
@@ -64,7 +65,8 @@ def _entry_valid(n, disc, num, den) -> bool:
 
     Beyond shape checks this enforces invariants a tampered value is
     likely to break: lowest terms, the square-free denominator with its
-    exact prime set for plain even-index values (von Staudt-Clausen),
+    exact prime set for plain even-index values (von Staudt-Clausen, read
+    from the divisors of n so that a huge n is not a linear scan),
     vanishing at odd indices > 1, and the parity/sign laws.
     """
     if not (_is_int(n) and n >= 0):
@@ -83,9 +85,9 @@ def _entry_valid(n, disc, num, den) -> bool:
         if n % 2 == 1:
             return (num, den) == (0, 1)
         expected_den = 1
-        for q in range(2, n + 2):
-            if n % (q - 1) == 0 and is_prime(q):
-                expected_den *= q
+        for e in divisors(factorize(n)):
+            if is_prime(e + 1):
+                expected_den *= e + 1
         if den != expected_den:
             return False
         if (num < 0) != (n % 4 == 0):  # sign of B_{2k} alternates
@@ -95,10 +97,6 @@ def _entry_valid(n, disc, num, den) -> bool:
         if n >= 1 and parity != (-1) ** n:
             return num == 0 and den == 1
     return True
-
-
-class CacheDirError(Exception):
-    """Cache directory unusable (unwritable, or a file where a dir belongs)."""
 
 
 def load_cache(cache_dir: str, cache: BernoulliCache | None = None) -> tuple[int, int]:
@@ -149,7 +147,7 @@ def store_cache(cache_dir: str, cache: BernoulliCache | None = None) -> str:
             json.dump(payload, fh, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
-        raise CacheDirError(f"cache directory {cache_dir} is not writable: {exc}")
+        raise OSError(f"cache directory {cache_dir} is not writable: {exc}") from exc
     return path
 
 
@@ -165,10 +163,10 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _render_reports(reports: list[CongruenceReport], fmt: str, flags: list[bool]) -> list[str]:
+def _render_reports(reports: list[CongruenceReport], fmt: str) -> list[str]:
     if fmt == "csv":
-        return [CSV_HEADER] + [r.to_csv_row(advisory=f) for r, f in zip(reports, flags)]
-    return [r.to_json_line(advisory=f) for r, f in zip(reports, flags)]
+        return [CSV_HEADER] + [r.to_csv_row() for r in reports]
+    return [r.to_json_line() for r in reports]
 
 
 def _print_manifest(args: argparse.Namespace, t0: float, passed: int, failed: int,
@@ -184,10 +182,6 @@ def _print_manifest(args: argparse.Namespace, t0: float, passed: int, failed: in
         "failed": failed,
         "errors": errors,
     }, sort_keys=True), file=sys.stderr)
-
-
-def _is_advisory(report: CongruenceReport) -> bool:
-    return REGISTRY[report.statement_id].advisory_p == report.p
 
 
 def scan_exit_code(statement: str, verdicts: list[tuple[bool, bool]], n_errors: int) -> int:
@@ -217,7 +211,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             need = "needs" if takes else "does not take"
             raise ValueError(f"{args.statement} {need} --{flag}")
     report = run_instance((st.id, args.d, args.p, args.k))
-    _emit(_render_reports([report], args.format, [_is_advisory(report)]), args.out)
+    _emit(_render_reports([report], args.format), args.out)
     _print_manifest(args, t0, int(report.holds), int(not report.holds))
     return 0 if report.holds else 1
 
@@ -235,8 +229,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         kappa=args.kappa,
     ))
-    flags = [_is_advisory(r) for r in result.reports]
-    _emit(_render_reports(result.reports, args.format, flags), args.out)
+    _emit(_render_reports(result.reports, args.format), args.out)
     passed = sum(r.holds for r in result.reports)
     _print_manifest(args, t0, passed, len(result.reports) - passed, len(result.errors))
     for err in result.errors:
@@ -247,7 +240,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         for r in result.reports:
             if r.holds:
                 print(f"attention: detector congruence holds at {r.to_json_line()}", file=sys.stderr)
-    verdicts = [(r.holds, f) for r, f in zip(result.reports, flags)]
+    verdicts = [(r.holds, r.advisory) for r in result.reports]
     return scan_exit_code(stmt, verdicts, len(result.errors))
 
 
@@ -261,7 +254,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
                                     sort_keys=True))
             continue
         fac_got = factorize(d)
-        inv = field_invariants(d, p)
+        inv = field_invariants(d)
         v_got = vp(inv.u, p)
         ok = fac_got == fac and inv.h == h_ref and v_got == vpu_ref
         lines.append(json.dumps({
@@ -408,7 +401,7 @@ def _install_config(argv: list[str], subcommands: dict[str, argparse.ArgumentPar
     of that flag in every subcommand that has it; explicit flags still win.
 
     argparse converts a string default through the flag's `type`.  A switch
-    (`store_true`) is turned on by true, 1 or yes.
+    (`store_true`) is turned on by true, 1 or yes.  A bad file raises ValueError.
     """
     path = _config_path(argv)
     if path is None:
@@ -417,50 +410,42 @@ def _install_config(argv: list[str], subcommands: dict[str, argparse.ArgumentPar
         with open(path, "r", encoding="utf-8") as fh:
             pairs = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]
     except OSError as exc:
-        raise SystemExit(f"error: cannot read config file {path}: {exc}")
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"error: malformed config line {pair!r}")
+            raise ValueError(f"malformed config line {pair!r}")
         key, value = (part.strip() for part in pair.split("=", 1))
         flag = "--" + key.replace("_", "-")
         owners = [(sp, action) for sp in subcommands.values() for action in sp._actions
                   if flag in action.option_strings and action.default is not argparse.SUPPRESS]
         if not owners:
-            raise SystemExit(f"error: config key {key!r} is not a flag of any subcommand")
+            raise ValueError(f"config key {key!r} is not a flag of any subcommand")
         for sp, action in owners:
             switch = action.nargs == 0
             if switch and value.lower() not in ("true", "1", "yes"):
-                raise SystemExit(f"error: config switch {key!r} takes true, 1 or yes")
+                raise ValueError(f"config switch {key!r} takes true, 1 or yes")
             sp.set_defaults(**{action.dest: True if switch else value})
             action.required = False
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:  # exact-rational output legitimately exceeds the int/str guard rail
+    if hasattr(sys, "set_int_max_str_digits"):  # exact-rational output exceeds the guard rail
         sys.set_int_max_str_digits(0)
-    except AttributeError:
-        pass
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = build_parser(argv)
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    # the only cache load and store: a subcommand that returns, with any
-    # exit code, is persisted; one that raises an input error is not
-    cache_dir = getattr(args, "cache_dir", None)
-    try:
+        args = build_parser(argv).parse_args(argv)
+        # the only cache load and store: a subcommand that returns, with any
+        # exit code, is persisted; one that raises an input or I/O error is not
+        cache_dir = getattr(args, "cache_dir", None)
         if cache_dir:
             load_cache(cache_dir)
         code = args.func(args)
         if cache_dir:
             store_cache(cache_dir)
         return code
-    except (ValueError, ArithmeticError, CacheDirError) as exc:
+    except SystemExit as exc:  # argparse has printed its message; 0 after --help
+        return 0 if exc.code in (0, None) else 2
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

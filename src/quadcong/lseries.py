@@ -229,20 +229,18 @@ def zeta_star_value(n: int, p: int) -> Fraction:
     return lp_interp_value(n, p) + R / n
 
 
-def lp1_via_class_number(inv: FieldInvariants) -> Fraction:
+def lp1_via_class_number(inv: FieldInvariants, p: int) -> Fraction:
     """Depth-2 surrogate for L_p(1, chi_D) from the class number and unit.
 
     (2h/delta) * (u/t + (d/3)(u/t)^3).  Requires p | d and p coprime to t;
     p | t would contradict the unit's defining norm equation at p | d, so
     it is treated as data corruption rather than a soft error.
     """
-    if inv.p is None:
-        raise ValueError("field invariants must carry the prime p")
-    if inv.d % inv.p != 0:
-        raise ValueError(f"p = {inv.p} does not divide d = {inv.d}")
-    if inv.t % inv.p == 0:
+    if inv.d % p != 0:
+        raise ValueError(f"p = {p} does not divide d = {inv.d}")
+    if inv.t % p == 0:
         raise ArithmeticError(
-            f"p = {inv.p} divides t for d = {inv.d}: impossible for a unit at p | d; "
+            f"p = {p} divides t for d = {inv.d}: impossible for a unit at p | d; "
             "the invariants record is corrupt"
         )
     return Fraction(2 * inv.h, inv.delta) * unit_log_series(inv.d, inv.t, inv.u, 1)

@@ -17,7 +17,7 @@ from math import isqrt
 from typing import Iterator, NamedTuple
 
 from .padic import vp
-from .primes import divisors, is_prime, is_squarefree, primes_up_to, sqrt_mod_prime
+from .primes import divisors, is_squarefree, primes_up_to, sqrt_mod_prime
 
 
 def invariants_shell(d: int) -> tuple[int, int]:
@@ -113,27 +113,9 @@ def vp_u(d: int, p: int) -> int:
 # -- binary quadratic forms --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Integral binary quadratic form a x^2 + b x y + c y^2."""
-
-    a: int
-    b: int
-    c: int
-
-    @property
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def is_reduced(self) -> bool:
-        """Reduced as an indefinite form: 0 < b < sqrt D, |sqrt D - 2|a|| < b."""
-        D = self.discriminant
-        return D > 0 and self.b > 0 and self.b * self.b < D and _in_window(self.a, self.b, D)
-
-    def reduction_step(self) -> "QuadraticForm":
-        """The standard reduction operator; permutes the reduced forms."""
-        D = self.discriminant
-        return QuadraticForm(*_reduction_step((self.a, self.b, self.c), D, isqrt(D)))
+# A form a x^2 + b x y + c y^2 of discriminant D = b^2 - 4ac > 0 is the
+# tuple (a, b, c); it is reduced when 0 < b < sqrt D and (a, b) lies in
+# the reduction window.
 
 
 def _in_window(a: int, b: int, D: int) -> bool:
@@ -143,7 +125,8 @@ def _in_window(a: int, b: int, D: int) -> bool:
 
 
 def _reduction_step(form: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
-    """The standard reduction operator on (a, b, c) of discriminant D, s = isqrt(D)."""
+    """The standard reduction operator on (a, b, c) of discriminant D, s = isqrt(D);
+    it permutes the reduced forms."""
     _a, b, c = form
     b2 = s - ((s + b) % (2 * abs(c)))
     return c, b2, (b2 * b2 - D) // (4 * c)
@@ -257,7 +240,7 @@ def class_number(d: int) -> ClassNumber:
 
 @dataclass(frozen=True)
 class FieldInvariants:
-    """Joint record of the invariants of Q(sqrt d) (optionally at a prime p | d)."""
+    """Joint record of the invariants of Q(sqrt d)."""
 
     d: int
     delta: int
@@ -268,16 +251,14 @@ class FieldInvariants:
     h: int
     h_plus: int
     cf_period: int
-    p: int | None = None
-    m: int | None = None
 
     @property
     def u_bit_length(self) -> int:
         return self.u.bit_length()
 
 
-def field_invariants(d: int, p: int | None = None) -> FieldInvariants:
-    """The invariants of Q(sqrt d), and m = d/p for a prime p | d.
+def field_invariants(d: int) -> FieldInvariants:
+    """The invariants of Q(sqrt d).
 
     The read path of every check that needs the unit or the class number;
     both are memoized by d, so a d seen before costs no recomputation.
@@ -285,12 +266,7 @@ def field_invariants(d: int, p: int | None = None) -> FieldInvariants:
     delta, D = invariants_shell(d)
     unit = fundamental_unit(d)
     h, h_plus = class_number(d)
-    m = None
-    if p is not None:
-        if not is_prime(p) or d % p != 0:
-            raise ValueError(f"p = {p} must be a prime divisor of d = {d}")
-        m = d // p
     return FieldInvariants(
         d=d, delta=delta, D=D, t=unit.t, u=unit.u, unit_norm=unit.norm,
-        h=h, h_plus=h_plus, cf_period=unit.cf_period, p=p, m=m,
+        h=h, h_plus=h_plus, cf_period=unit.cf_period,
     )

@@ -22,7 +22,8 @@ class CongruenceReport:
     """One theorem-instance verdict.
 
     lhs and rhs are the exact rational sides; holds is equivalent to
-    difference_valuation >= depth by construction.
+    difference_valuation >= depth by construction.  An advisory row is
+    reported but never gates an exit code.
     """
 
     statement_id: str
@@ -34,8 +35,9 @@ class CongruenceReport:
     holds: bool
     d: int | None = None
     k: int | None = None
+    advisory: bool = False
 
-    def to_json_obj(self, advisory: bool = False) -> dict:
+    def to_json_obj(self) -> dict:
         obj = {
             "statement": self.statement_id,
             "d": self.d,
@@ -48,15 +50,15 @@ class CongruenceReport:
             else int(self.difference_valuation),
             "holds": self.holds,
         }
-        if advisory:
+        if self.advisory:
             obj["advisory"] = True
         return obj
 
-    def to_json_line(self, advisory: bool = False) -> str:
-        return json.dumps(self.to_json_obj(advisory), sort_keys=True, separators=(",", ":"))
+    def to_json_line(self) -> str:
+        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
-    def to_csv_row(self, advisory: bool = False) -> str:
-        o = self.to_json_obj(advisory=False)
+    def to_csv_row(self) -> str:
+        o = self.to_json_obj()
         return ",".join(
             [
                 o["statement"],
@@ -68,7 +70,7 @@ class CongruenceReport:
                 o["rhs"],
                 str(o["difference_valuation"]),
                 "1" if o["holds"] else "0",
-                "1" if advisory else "0",
+                "1" if self.advisory else "0",
             ]
         )
 

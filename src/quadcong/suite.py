@@ -22,7 +22,7 @@ printed variants preserved in the regression tests:
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from multiprocessing import get_context
 from typing import Callable
@@ -82,7 +82,7 @@ def check_theorem1(d: int, p: int) -> CongruenceReport:
     """
     split = _require_split_shape(d, p, p_floor=3)
     r = split.r
-    lhs = 2 * lp1_via_class_number(field_invariants(d, p))
+    lhs = 2 * lp1_via_class_number(field_invariants(d), p)
     rhs = 3 * lp_interp_value(r, p, split) + gen_bernoulli(3 * r, split.psi) / (3 * r)
     return make_report(THM1, lhs, rhs, p, depth=2, d=d)
 
@@ -95,7 +95,7 @@ def check_corollary_exact_division(d: int, p: int) -> CongruenceReport:
     is meaningful.
     """
     split = _require_split_shape(d, p, p_floor=5)
-    inv = field_invariants(d, p)
+    inv = field_invariants(d)
     v = vp(inv.u, p)
     if v != 1:
         raise ValueError(f"statement needs v_p(u) = 1; v_{p}(u) = {v} for d = {d}")
@@ -187,8 +187,9 @@ class Statement:
     scan offers it the primes p_min <= p <= p_max passing `p_ok`, and for
     `takes_d` statements every squarefree d = p m > 5 (p not dividing m)
     up to d_max that `admits` accepts.  A detector's "holds" is the
-    anomaly, not the expectation.  Rows at `advisory_p` are reported but
-    never gate.  Scans of `takes_d` statements flag v_p(u) >= kappa.
+    anomaly, not the expectation.  run_instance flags the rows at
+    `advisory_p` advisory: reported, never gating.  Scans of `takes_d`
+    statements flag v_p(u) >= kappa.
     """
 
     id: str
@@ -281,11 +282,13 @@ def build_instances(cfg: ScanConfig) -> list[tuple]:
 
 
 def run_instance(instance: tuple) -> CongruenceReport:
-    """Evaluate one (statement, d, p, k) instance against the default cache."""
+    """Evaluate one (statement, d, p, k) instance against the default cache;
+    the row carries its advisory flag."""
     stmt, d, p, k = instance
     st = lookup(stmt)
     args = ((d,) if st.takes_d else ()) + (p,) + ((k,) if st.takes_k else ())
-    return st.check(*args)
+    report = st.check(*args)
+    return replace(report, advisory=True) if p == st.advisory_p else report
 
 
 def _worker(instance: tuple):

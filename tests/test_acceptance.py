@@ -282,9 +282,9 @@ def test_criterion_09_integration_identity():
     bad = []
     count = 0
     for d, p in _criterion7_grid():
-        inv = field_invariants(d, p)
+        inv = field_invariants(d)
         split = split_character(d, p)
-        lhs = lp1_via_class_number(inv)
+        lhs = lp1_via_class_number(inv, p)
         rhs = lp_interp_value(split.r, p, split) - split.r * a1_closed_quadratic(split)
         if vp(lhs - rhs, p) < 2:
             bad.append((d, p))

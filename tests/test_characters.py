@@ -7,7 +7,6 @@ from quadcong.characters import (
     CharacterSplit,
     QuadChar,
     char_values,
-    eval_char,
     is_fundamental_discriminant,
     kronecker,
     legendre,
@@ -61,10 +60,10 @@ def test_legendre_against_square_enumeration():
 def test_eval_char_examples():
     principal = QuadChar.principal()
     for a in (-5, 0, 1, 6, 97):
-        assert eval_char(principal, a) == 1
-    assert eval_char(QuadChar(-8), 7) == -1
-    assert eval_char(QuadChar(12), 6) == 0
-    assert QuadChar(5)(2) == -1  # callable sugar
+        assert principal(a) == 1
+    assert QuadChar(-8)(7) == -1
+    assert QuadChar(12)(6) == 0
+    assert QuadChar(5)(2) == -1
 
 
 def test_quadchar_validation():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from quadcong.cli import (
     main,
     store_cache,
 )
+from quadcong.primes import is_prime
 from quadcong.reports import CSV_HEADER, rederive_holds
 
 
@@ -357,6 +359,20 @@ def test_entry_validation_rules():
     assert not _entry_valid(2, 6, 1, 1)             # 6 is no discriminant
 
 
+def test_entry_valid_von_staudt_clausen_matches_the_linear_scan():
+    """The denominator read from the divisors of n is the one the scan over
+    every q <= n + 1 builds, and a huge n is rejected without that scan."""
+    for n in range(2, 3000, 2):
+        den = 1
+        for q in range(2, n + 2):
+            if n % (q - 1) == 0 and is_prime(q):
+                den *= q
+        assert _entry_valid(n, None, -1 if n % 4 == 0 else 1, den), n
+    t0 = time.perf_counter()
+    assert not _entry_valid(10**9, None, -1, 6)
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_config_file_defaults_flags_win(tmp_path, capsys):
     conf = tmp_path / "scan.conf"
     conf.write_text("p-max=40\nk-max=2\n")
@@ -410,6 +426,22 @@ def test_unwritable_cache_dir_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "not writable" in err
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "existing-dir"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm1", "--d", "14", "--p", "7"),
+    ("scan", "lehmer-diff", "--p-max", "11"),
+    ("table1",),
+    ("lfun", "--p", "7"),
+    ("bernoulli", "--n", "4"),
+], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
+    out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.splitlines()[0].startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_scan_nondetector_failure_exits_1(capsys):

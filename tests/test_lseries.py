@@ -213,19 +213,19 @@ def test_zeta_star_euler_factor_depth():
 
 
 def test_lp1_via_class_number():
-    assert lp1_via_class_number(field_invariants(14, 7)) == Fraction(3596, 10125)
-    assert lp1_via_class_number(field_invariants(10, 5)) == Fraction(74, 81)
+    assert lp1_via_class_number(field_invariants(14), 7) == Fraction(3596, 10125)
+    assert lp1_via_class_number(field_invariants(10), 5) == Fraction(74, 81)
     with pytest.raises(ValueError):
-        lp1_via_class_number(field_invariants(10))
+        lp1_via_class_number(field_invariants(10), 3)
 
 
 def test_lp1_flags_p_dividing_t():
     corrupt = FieldInvariants(
         d=14, delta=2, D=56, t=7, u=4, unit_norm=1, h=1, h_plus=1,
-        cf_period=4, p=7, m=2,
+        cf_period=4,
     )
     with pytest.raises(ArithmeticError):
-        lp1_via_class_number(corrupt)
+        lp1_via_class_number(corrupt, 7)
 
 
 def test_series_congruences_quadratic():

@@ -5,8 +5,8 @@ import pytest
 
 from quadcong.quadfield import (
     FieldInvariants,
-    QuadraticForm,
     _reduced_forms,
+    _reduction_step,
     _sieve_factored_bscan,
     class_number,
     field_invariants,
@@ -119,16 +119,25 @@ def test_narrow_class_number_relation():
         assert h_plus == (h if norm == -1 else 2 * h), d
 
 
+def _disc(form):
+    a, b, c = form
+    return b * b - 4 * a * c
+
+
+def _is_reduced(form, D):
+    """Reducedness of an indefinite form (a, b, c) of discriminant D, stated literally."""
+    a, b, _c = form
+    return b > 0 and b * b < D and (2 * abs(a) + b) ** 2 > D > (2 * abs(a) - b) ** 2
+
+
 def test_reduced_forms_and_cycles():
     D = 40
     forms = _reduced_forms(D)
     assert len(forms) == 8
     for f in forms:
-        qf = QuadraticForm(*f)
-        assert qf.discriminant == D
-        assert qf.is_reduced()
-        step = qf.reduction_step()
-        assert step.discriminant == D and step.is_reduced()
+        assert _disc(f) == D and _is_reduced(f, D)
+        step = _reduction_step(f, D, isqrt(D))
+        assert _disc(step) == D and _is_reduced(step, D)
     # principal form present: (1, 6, -1) since isqrt(40) = 6
     assert (1, 6, -1) in forms
 
@@ -138,14 +147,14 @@ def test_principal_cycle_contains_principal_form():
         _delta, D = invariants_shell(d)
         s = isqrt(D)
         b0 = s if (s - D) % 2 == 0 else s - 1
-        start = QuadraticForm(1, b0, (b0 * b0 - D) // 4)
-        assert start.is_reduced()
+        start = (1, b0, (b0 * b0 - D) // 4)
+        assert _is_reduced(start, D)
         seen = set()
         g = start
-        while (g.a, g.b, g.c) not in seen:
-            seen.add((g.a, g.b, g.c))
-            g = g.reduction_step()
-        assert (start.a, start.b, start.c) in seen
+        while g not in seen:
+            seen.add(g)
+            g = _reduction_step(g, D, s)
+        assert g == start  # the orbit of the principal form is a cycle through it
 
 
 def test_sieve_bscan_matches_trial_division():
@@ -166,15 +175,12 @@ def test_vp_u():
 
 
 def test_field_invariants():
-    inv = field_invariants(14, 7)
+    inv = field_invariants(14)
     assert isinstance(inv, FieldInvariants)
     assert (inv.delta, inv.D, inv.t, inv.u, inv.h) == (2, 56, 15, 4, 1)
-    assert inv.m == 2 and inv.p == 7
     assert inv.u_bit_length == 3
-    inv = field_invariants(10)
-    assert inv.p is None and inv.m is None
     with pytest.raises(ValueError):
-        field_invariants(14, 5)
+        field_invariants(12)
 
 
 def test_memoized_invariants_raise_on_every_call_for_bad_d():
@@ -186,7 +192,7 @@ def test_memoized_invariants_raise_on_every_call_for_bad_d():
 
 
 def test_reduced_forms_match_brute_force_enumeration():
-    """The sieved b-scan finds exactly the forms is_reduced accepts."""
+    """The sieved b-scan finds exactly the reduced forms of a brute-force search."""
     for d in squarefree_range(2, 120):
         _delta, D = invariants_shell(d)
         s = isqrt(D)
@@ -194,7 +200,7 @@ def test_reduced_forms_match_brute_force_enumeration():
         for a in range(-s, s + 1):
             for b in range(1, s + 1):
                 if a and (b * b - D) % (4 * a) == 0:
-                    f = QuadraticForm(a, b, (b * b - D) // (4 * a))
-                    if f.is_reduced():
-                        brute.add((f.a, f.b, f.c))
+                    f = (a, b, (b * b - D) // (4 * a))
+                    if _is_reduced(f, D):
+                        brute.add(f)
         assert _reduced_forms(D) == brute, d

@@ -195,9 +195,9 @@ def test_soundness_link_two_evaluation_paths():
     bug in either route cannot hide."""
     for d, p in ((14, 7), (21, 7), (65, 5), (33, 11), (26, 13)):
         rep = check_theorem1(d, p)
-        inv = field_invariants(d, p)
+        inv = field_invariants(d)
         split = split_character(d, p)
-        assert rep.lhs == 2 * lp1_via_class_number(inv)
+        assert rep.lhs == 2 * lp1_via_class_number(inv, p)
         assert rep.rhs == 2 * (
             lp_interp_value(split.r, p, split) - split.r * a1_closed_quadratic(split)
         )
@@ -211,9 +211,9 @@ def test_integration_identity_small_grid():
             d = p * m
             if d <= 5 or m % p == 0 or not is_squarefree(d):
                 continue
-            inv = field_invariants(d, p)
+            inv = field_invariants(d)
             split = split_character(d, p)
-            lhs = lp1_via_class_number(inv)
+            lhs = lp1_via_class_number(inv, p)
             rhs = lp_interp_value(split.r, p, split) - split.r * a1_closed_quadratic(split)
             assert vp(lhs - rhs, p) >= 2, (d, p)
 
@@ -306,6 +306,12 @@ def test_run_instance_dispatch():
     assert rep.statement_id == AAC_CLASSICAL and rep.holds
     with pytest.raises(ValueError):
         run_instance(("UNKNOWN", None, 7, None))
+
+
+def test_run_instance_flags_the_advisory_prime():
+    assert run_instance((THM1, 10, 5, None)).advisory is True
+    assert run_instance((THM1, 14, 7, None)).advisory is False
+    assert check_theorem1(10, 5).advisory is False  # only run_instance sets the flag
 
 
 def test_worker_error_aggregation():

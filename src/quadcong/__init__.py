@@ -30,6 +30,7 @@ from .bernoulli import (
     bernoulli_poly,
     carlitz_check,
     gen_bernoulli,
+    gen_bernoulli_many,
     lemma_power_sum_nonprincipal,
     lemma_power_sum_principal,
     power_sum_closed,

@@ -8,8 +8,13 @@ Conventions matter here and are easy to get wrong:
   It is answered from the plain values and has no cache key of its own.
 
 Plain even B_n come from tangent numbers (Brent & Harvey,
-arXiv:1108.0286) in integers; B_{n,chi} from integer power sums of chi,
-combined over one common denominator.
+arXiv:1108.0286) in integers.  B_{n,chi} come from integer power sums of
+chi over half the range, 1 <= a < f/2, by the reflection
+B_n(1-x) = (-1)^n B_n(x); it also makes B_{n,chi} exactly 0 when
+chi(-1) != (-1)^n.  Indices asked for together (the depth-2 checks ask
+for r and 3r, which share a parity) share one walk over the powers, and
+the terms are combined over one common denominator.  chi is tabulated on
+the process-wide smallest-prime-factor sieve and evaluated only at primes.
 
 The closed power-sum formula stores the index-0 term as F^k B_{0,chi}/(k+1);
 the commonly printed variant without the 1/(k+1) fails the exact identity
@@ -19,9 +24,11 @@ regression test pins this down).
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice
 from math import comb, lcm
+from operator import floordiv, mul
 
 from .characters import QuadChar, char_values
 from .padic import vp
@@ -46,6 +53,7 @@ class BernoulliCache:
             (1, None): Fraction(-1, 2),
         }
         self._tangent: list[int] = []
+        self._brow: tuple[int, list[int]] = (1, [])
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -119,54 +127,85 @@ class BernoulliCache:
     # -- generalized Bernoulli numbers ------------------------------------
 
     def gen_bernoulli(self, n: int, chi: QuadChar) -> Fraction:
-        if n < 0:
+        return self.gen_bernoulli_many((n,), chi)[0]
+
+    def gen_bernoulli_many(self, ns: Sequence[int], chi: QuadChar) -> list[Fraction]:
+        """[B_{n,chi} for n in ns]; the absent ones come from one kernel pass."""
+        if any(n < 0 for n in ns):
             raise ValueError("Bernoulli index must be >= 0")
         if chi.is_principal:
-            if n == 1:
-                return Fraction(1, 2)
-            return self.bernoulli(n)
-        key = (n, chi.discriminant)
-        got = self._values.get(key)
-        if got is not None:
-            return got
-        value = self._gen_bernoulli_compute(n, chi)
-        with self._lock:
-            self._values[key] = value
-        return value
+            return [Fraction(1, 2) if n == 1 else self.bernoulli(n) for n in ns]
+        disc = chi.discriminant
+        missing = sorted({n for n in ns if (n, disc) not in self._values})
+        if missing:
+            values = self._gen_bernoulli_compute(missing, chi)
+            with self._lock:
+                for n, v in zip(missing, values):
+                    if (n, disc) not in self._values:
+                        self._values[(n, disc)] = v
+        return [self._values[(n, disc)] for n in ns]
 
-    def _gen_bernoulli_compute(self, n: int, chi: QuadChar) -> Fraction:
-        # Finite Bernoulli-polynomial formula f^(n-1) sum_a chi(a) B_n(a/f),
-        # expanded so all inner arithmetic is on integers:
-        #   B_{n,chi} = (1/f) sum_j C(n,j) B_j f^j T_{n-j},
-        #   T_k = sum_{a=1}^{f} chi(a) a^k.
-        # Only j in {0, 1} and even j have B_j != 0, so T_k is needed only
-        # for k = n - 1 and k of n's parity.  The a with chi(a) = 1 and -1
-        # are summed apart (P and M, T = P - M), and the terms are added in
-        # integers over L = lcm(den B_j) with one division at the end.
+    def _scaled_bernoulli_row(self, top: int) -> tuple[int, list[int]]:
+        """(L, [L B_j for j <= top or more]) with L a common denominator of the B_j.
+
+        Kept between calls and grown by rescaling the old row, so the
+        plain values and their lcm are read once per index, not once per
+        character.  Every B_j up to top is asked for, so a request leaves
+        the same plain entries in the cache as the term-by-term sum it
+        replaces, whatever chi's parity.
+        """
+        L, row = self._brow
+        if top < len(row):
+            return L, row
+        with self._lock:
+            L, row = self._brow
+            new = [self.bernoulli(j) for j in range(len(row), top + 1)]
+            L2 = lcm(L, *(b.denominator for b in new))
+            row = [x * (L2 // L) for x in row]
+            row += [b.numerator * (L2 // b.denominator) for b in new]
+            self._brow = (L2, row)
+            return L2, row
+
+    def _gen_bernoulli_compute(self, ns: list[int], chi: QuadChar) -> list[Fraction]:
+        # Finite Bernoulli-polynomial formula f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f).
+        # B_n(1-x) = (-1)^n B_n(x) and chi(f-a) = chi(-1) chi(a) (Washington,
+        # Cyclotomic Fields, 4.1) pair a with f - a: the sum is 0 exactly when
+        # chi(-1) != (-1)^n, and otherwise twice its part over 1 <= a < f/2
+        # (chi vanishes at f/2 and at f, which share a factor with f > 2):
+        #   B_{n,chi} = (2/f) sum_j C(n,j) B_j f^j T_{n-j},
+        #   T_k = sum_{1 <= a < f/2} chi(a) a^k.
+        # Only j in {0, 1} and even j have B_j != 0, so T_k is needed only for
+        # k of n's parity and k = n - 1.  The indices of chi's parity share
+        # one walk over k up to the largest, each step one product and one sum
+        # over the a with chi(a) != 0; the terms are added in integers over
+        # L = lcm(den B_j) with one division per index at the end.
         f = chi.conductor
-        vals = char_values(chi, f)
-        P = [0] * (n + 1)
-        M = [0] * (n + 1)
-        for a in range(1, f + 1):
-            cv = vals[a]
-            if cv == 0:
-                continue
-            S = P if cv == 1 else M
-            a2 = a * a
-            pw = a if n % 2 else 1
-            for k in range(n % 2, n, 2):
-                S[k] += pw
-                pw *= a2
-            S[n] += pw  # pw = a^n
-            if n:
-                S[n - 1] += pw // a
-        bs = [(j, self.bernoulli(j)) for j in (0, 1, *range(2, n + 1, 2)) if j <= n]
-        L = lcm(*(bj.denominator for _, bj in bs))
-        total = 0
-        for j, bj in bs:
-            k = n - j
-            total += comb(n, j) * bj.numerator * (L // bj.denominator) * f ** j * (P[k] - M[k])
-        return Fraction(total, L * f)
+        L, brow = self._scaled_bernoulli_row(max(ns))
+        live = {n for n in ns if chi.parity == (-1) ** n}
+        if not live:
+            return [Fraction(0)] * len(ns)
+        top = max(live)
+        vals = char_values(chi, (f - 1) // 2)
+        avals = [a for a in range(1, len(vals)) if vals[a]]
+        squares = [a * a for a in avals]
+        terms = [vals[a] * a ** (top % 2) for a in avals]  # chi(a) a^k
+        T = {}
+        for k in range(top % 2, top + 1, 2):
+            T[k] = sum(terms)
+            if k in live and k:
+                T[k - 1] = sum(map(floordiv, terms, avals))
+            if k < top:
+                terms = list(map(mul, terms, squares))
+        coef, fj = {}, 1  # coef[j] = L B_j f^j for the j with B_j != 0
+        for j in range(top + 1):
+            if brow[j]:
+                coef[j] = brow[j] * fj
+            fj *= f
+        return [
+            Fraction(2 * sum(comb(n, j) * c * T[n - j] for j, c in coef.items() if j <= n), L * f)
+            if n in live else Fraction(0)
+            for n in ns
+        ]
 
 
 DEFAULT_CACHE = BernoulliCache()
@@ -196,6 +235,11 @@ def bernoulli_poly(n: int, x: Fraction | int) -> Fraction:
 def gen_bernoulli(n: int, chi: QuadChar) -> Fraction:
     """Generalized Bernoulli number B_{n,chi} (exact rational)."""
     return DEFAULT_CACHE.gen_bernoulli(n, chi)
+
+
+def gen_bernoulli_many(ns: Sequence[int], chi: QuadChar) -> list[Fraction]:
+    """[B_{n,chi} for n in ns], the absent ones from one pass over the characters."""
+    return DEFAULT_CACHE.gen_bernoulli_many(ns, chi)
 
 
 # -- power sums -------------------------------------------------------------

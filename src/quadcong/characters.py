@@ -7,9 +7,8 @@ discriminant 1 (conductor 1, value 1 everywhere).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
-from .primes import is_prime, is_squarefree
+from .primes import is_prime, is_squarefree, smallest_prime_factors
 
 
 def kronecker(a: int, n: int) -> int:
@@ -101,28 +100,28 @@ class QuadChar:
 
 
 def char_values(chi: QuadChar, n: int) -> list[int]:
-    """[chi(0), chi(1), ..., chi(n)] built by a multiplicative sieve.
+    """[chi(0), chi(1), ..., chi(n)] built on the shared smallest-prime-factor sieve.
 
     Complete multiplicativity of the bottom argument of the Kronecker
-    symbol lets us evaluate only at primes.
+    symbol lets us evaluate only at primes; at an odd prime q the symbol
+    is Legendre's, (D/q) = D^((q-1)/2) mod q by Euler's criterion.
     """
     if chi.is_principal:
         return [1] * (n + 1)
+    disc = chi.discriminant
+    spf = smallest_prime_factors(n)
     vals = [0] * (n + 1)
     if n >= 1:
         vals[1] = 1
-    spf = list(range(n + 1))
-    for p in range(2, isqrt(n) + 1):
-        if spf[p] == p:
-            for q in range(p * p, n + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    for a in range(2, n + 1):
-        p = spf[a]
-        if p == a:
-            vals[a] = kronecker(chi.discriminant, a)
+    if n >= 2:
+        vals[2] = kronecker(disc, 2)
+    for a in range(3, n + 1):
+        q = spf[a]
+        if q == a:
+            e = pow(disc, (a - 1) >> 1, a)
+            vals[a] = -1 if e == a - 1 else e
         else:
-            vals[a] = vals[p] * vals[a // p]
+            vals[a] = vals[q] * vals[a // q]
     return vals
 
 

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import suppress
 from fractions import Fraction
 from math import gcd
 
@@ -84,8 +85,13 @@ def _entry_valid(n, disc, num, den) -> bool:
             return (num, den) == (-1, 2)
         if n % 2 == 1:
             return (num, den) == (0, 1)
+        # |B_n| > 2 n!/(2 pi)^n and den >= 6 bound num from below; a shorter
+        # num is refused before n is factored, so factoring a huge n is paid
+        # only by an entry about as large as B_n itself
+        if abs(num).bit_length() < n * (n.bit_length() - 6):
+            return False
         expected_den = 1
-        for e in divisors(factorize(n)):
+        for e in divisors(factorize(n), n):
             if is_prime(e + 1):
                 expected_den *= e + 1
         if den != expected_den:
@@ -140,13 +146,19 @@ def store_cache(cache_dir: str, cache: BernoulliCache | None = None) -> str:
         for n, disc, v in c.entries()
     ]
     payload = {"version": CACHE_VERSION, "entries": entries}
+    path = os.path.join(cache_dir, CACHE_FILE)
+    tmp = path + ".tmp"
     try:
         os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, CACHE_FILE)
-        with open(path, "w", encoding="utf-8") as fh:
+        # written aside and renamed over the old file, so an interrupted
+        # store leaves the previous cache whole
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
             fh.write("\n")
+        os.replace(tmp, path)
     except OSError as exc:
+        with suppress(OSError):
+            os.remove(tmp)
         raise OSError(f"cache directory {cache_dir} is not writable: {exc}") from exc
     return path
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .bernoulli import bernoulli, gen_bernoulli
+from .bernoulli import bernoulli, gen_bernoulli, gen_bernoulli_many
 from .characters import CharacterSplit, QuadChar, char_values
 from .padic import fermat_quotient, log_from_fermat_quotient, unit_log_series, vp
 from .primes import is_prime
@@ -171,8 +171,9 @@ def a1_closed_quadratic(split: CharacterSplit) -> Fraction:
     if split.d == 5:
         raise ValueError("d = 5 carries correction terms this closed form omits")
     r = split.r
+    _, b3r = gen_bernoulli_many((r, 3 * r), split.psi)  # lp_interp_value reads B_r back
     lp = lp_interp_value(r, split.p, split)
-    return -(gen_bernoulli(3 * r, split.psi) / 3 + r * lp) / (2 * r * r)
+    return -(b3r / 3 + r * lp) / (2 * r * r)
 
 
 def a1_closed_quadratic_plain_bernoulli(split: CharacterSplit) -> Fraction:

@@ -45,6 +45,32 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, v in enumerate(sieve) if v]
 
 
+_spf: list[int] = [0, 1]
+
+
+def smallest_prime_factors(n: int) -> list[int]:
+    """A list whose entry a is the smallest prime factor of a, for 2 <= a <= n.
+
+    One sieve serves the whole process: it is grown on demand (at least
+    doubling) and never shrinks, so the list returned may run past n.  A
+    grown sieve is built aside and installed in one assignment, so a
+    concurrent reader sees the old list or the new one, both correct.
+    """
+    global _spf
+    spf = _spf
+    if n < len(spf):
+        return spf
+    size = max(n + 1, 2 * len(spf))
+    spf = list(range(size))
+    for p in range(2, isqrt(size - 1) + 1):
+        if spf[p] == p:
+            for q in range(p * p, size, p):
+                if spf[q] == q:
+                    spf[q] = p
+    _spf = spf
+    return spf
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division, {prime: exponent}.
 
@@ -82,15 +108,21 @@ def is_squarefree(d: int) -> bool:
     return all(e == 1 for e in factorize(d).values()) if d > 1 else True
 
 
-def divisors(fac: dict[int, int]) -> list[int]:
-    """All positive divisors from a factorization map (unsorted)."""
-    divs = [1]
+def divisors(fac: dict[int, int], limit: int) -> list[int]:
+    """The positive divisors <= limit from a factorization map (unsorted).
+
+    A divisor past the limit is not extended by further prime powers, so
+    the work is bounded by the divisors kept, not by all of them.
+    """
+    divs = [1] if limit >= 1 else []
     for p, e in fac.items():
-        pe = 1
         ext = []
-        for _ in range(e):
-            pe *= p
-            ext.extend(d * pe for d in divs)
+        for d in divs:
+            for _ in range(e):
+                d *= p
+                if d > limit:
+                    break
+                ext.append(d)
         divs.extend(ext)
     return divs
 

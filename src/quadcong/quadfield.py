@@ -146,7 +146,8 @@ def _reduced_forms(D: int) -> set[tuple[int, int, int]]:
     forms: set[tuple[int, int, int]] = set()
     for b, fac in fac_of.items():
         N = (D - b * b) // 4
-        for a in divisors(fac):
+        # D > (2a - b)^2 needs 2a <= s + b, so larger divisors are never built
+        for a in divisors(fac, (s + b) // 2):
             if _in_window(a, b, D):
                 c = -(N // a)
                 forms.add((a, b, c))

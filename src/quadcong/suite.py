@@ -27,7 +27,7 @@ from fractions import Fraction
 from multiprocessing import get_context
 from typing import Callable
 
-from .bernoulli import DEFAULT_CACHE, bernoulli, gen_bernoulli
+from .bernoulli import DEFAULT_CACHE, bernoulli, gen_bernoulli_many
 from .characters import CharacterSplit, split_character
 from .lseries import (a0_closed_principal, a1_closed_principal, lp1_via_class_number,
                       lp_interp_value, wilson_quotient)
@@ -83,7 +83,8 @@ def check_theorem1(d: int, p: int) -> CongruenceReport:
     split = _require_split_shape(d, p, p_floor=3)
     r = split.r
     lhs = 2 * lp1_via_class_number(field_invariants(d), p)
-    rhs = 3 * lp_interp_value(r, p, split) + gen_bernoulli(3 * r, split.psi) / (3 * r)
+    _, b3r = gen_bernoulli_many((r, 3 * r), split.psi)  # lp_interp_value reads B_r back
+    rhs = 3 * lp_interp_value(r, p, split) + b3r / (3 * r)
     return make_report(THM1, lhs, rhs, p, depth=2, d=d)
 
 
@@ -101,7 +102,8 @@ def check_corollary_exact_division(d: int, p: int) -> CongruenceReport:
         raise ValueError(f"statement needs v_p(u) = 1; v_{p}(u) = {v} for d = {d}")
     r = split.r
     lhs = Fraction(2 * inv.h, inv.delta) * Fraction(inv.u, p * inv.t)
-    rhs = (3 * gen_bernoulli(r, split.psi) - gen_bernoulli(3 * r, split.psi) / 3) / p
+    br, b3r = gen_bernoulli_many((r, 3 * r), split.psi)
+    rhs = (3 * br - b3r / 3) / p
     return make_report(COR_EXACT_DIV, lhs, rhs, p, depth=1, d=d)
 
 
@@ -112,9 +114,8 @@ def check_super_aacm_criterion(d: int, p: int) -> CongruenceReport:
     """
     split = _require_split_shape(d, p, p_floor=5)
     r = split.r
-    lhs = 9 * gen_bernoulli(r, split.psi)
-    rhs = gen_bernoulli(3 * r, split.psi)
-    return make_report(SUPER_AACM_CRIT, lhs, rhs, p, depth=2, d=d)
+    br, b3r = gen_bernoulli_many((r, 3 * r), split.psi)
+    return make_report(SUPER_AACM_CRIT, 9 * br, b3r, p, depth=2, d=d)
 
 
 def check_lehmer_thm2(p: int, k: int) -> CongruenceReport:

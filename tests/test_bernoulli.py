@@ -1,3 +1,4 @@
+import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -11,6 +12,7 @@ from quadcong.bernoulli import (
     bernoulli_poly,
     carlitz_check,
     gen_bernoulli,
+    gen_bernoulli_many,
     lemma_power_sum_nonprincipal,
     lemma_power_sum_principal,
     power_sum_closed,
@@ -18,7 +20,8 @@ from quadcong.bernoulli import (
     power_sum_restricted,
     sun_congruence_check,
 )
-from quadcong.characters import QuadChar, is_fundamental_discriminant, split_character
+from quadcong import primes as primes_module
+from quadcong.characters import QuadChar, char_values, is_fundamental_discriminant, kronecker, split_character
 from quadcong.padic import INF, vp
 from quadcong.primes import primes_up_to
 
@@ -446,3 +449,92 @@ def test_gen_bernoulli_against_series_oracle_at_thm1_indices(d, p):
     psi = split.psi
     for n in (split.r, 3 * split.r):
         assert BernoulliCache().gen_bernoulli(n, psi) == gen_bernoulli_series(n, psi.conductor, psi), n
+
+
+@pytest.mark.parametrize("d, p", [(14, 7), (21, 7), (26, 13), (65, 13), (51, 17), (85, 17)])
+def test_half_range_kernel_against_series_oracle(d, p):
+    """One call for n = 0, 1, 2, r, r + 1, 3r on psi: odd r (p = 7) and even r,
+    conductor odd (-3, 5) and divisible by 4 (-8, 8, 12); the indices of the
+    wrong parity come out exactly 0."""
+    split = split_character(d, p)
+    psi, r = split.psi, split.r
+    ns = (0, 1, 2, r, r + 1, 3 * r)
+    got = BernoulliCache().gen_bernoulli_many(ns, psi)
+    for n, value in zip(ns, got):
+        assert value == gen_bernoulli_series(n, psi.conductor, psi), n
+        if psi.parity != (-1) ** n:
+            assert value == 0, n
+
+
+@pytest.mark.parametrize("p", [13, 17, 29])
+def test_principal_split_reads_plain_bernoulli(p):
+    """d = p = 1 mod 4 splits off the principal psi: plain B_n, no character key."""
+    split = split_character(p, p)
+    assert split.psi.is_principal
+    cache = BernoulliCache()
+    r = split.r
+    assert cache.gen_bernoulli_many((r, 3 * r, 1), split.psi) == [
+        bernoulli(r), bernoulli(3 * r), gen_bernoulli_series(1, 1, split.psi)]
+    assert all(disc is None for _, disc, _ in cache.entries())
+
+
+def test_multi_index_call_equals_one_index_calls_and_computes_only_absent_keys():
+    psi = split_character(26, 13).psi  # chi_8, even
+    ns = (6, 18, 7, 2, 18)
+    single = [BernoulliCache().gen_bernoulli(n, psi) for n in ns]
+    cache = BernoulliCache()
+    cache.gen_bernoulli(6, psi)
+    cache._values = _CountingDict(cache._values)
+    asked = []
+    kernel = cache._gen_bernoulli_compute
+    cache._gen_bernoulli_compute = lambda idx, chi: asked.append(list(idx)) or kernel(idx, chi)
+    mark = len(cache)
+    assert cache.gen_bernoulli_many(ns, psi) == single
+    assert asked == [[2, 7, 18]]
+    written = cache.entries_since(mark)
+    assert [(n, disc) for n, disc, _ in written if disc is not None] == [(2, 8), (7, 8), (18, 8)]
+    assert cache._values.writes == len(written)
+    assert cache.gen_bernoulli_many(ns, psi) == single
+    assert asked == [[2, 7, 18]] and cache._values.writes == len(written)
+    assert gen_bernoulli_many((3, 9), CHI8N) == [gen_bernoulli(3, CHI8N), gen_bernoulli(9, CHI8N)]
+
+
+def test_negative_index_is_refused_before_any_work():
+    cache = BernoulliCache()
+    with pytest.raises(ValueError):
+        cache.gen_bernoulli_many((3, -1), CHI8N)
+    assert cache.get(3, -8) is None
+
+
+def test_threads_share_the_sieve_and_the_scaled_row(monkeypatch):
+    """Threads grow the process-wide sieve and one cache's B_j row while
+    reading them; every table and value must match a sequential run."""
+    monkeypatch.setattr(primes_module, "_spf", [0, 1])
+    discs = [D for D in range(-60, 61) if D != 1 and is_fundamental_discriminant(D)]
+    cache = BernoulliCache()
+    errors = []
+
+    def work(offset):
+        try:
+            for i, D in enumerate(discs[offset::4]):
+                chi = QuadChar(D)
+                n = 2 * (i + offset) + (chi.parity < 0)
+                got = cache.gen_bernoulli_many((n, 3 * n), chi)
+                assert got == BernoulliCache().gen_bernoulli_many((n, 3 * n), chi), D
+                F = 7 * chi.conductor
+                assert char_values(chi, F) == [0] + [kronecker(D, a) for a in range(1, F + 1)], D
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors

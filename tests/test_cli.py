@@ -367,10 +367,48 @@ def test_entry_valid_von_staudt_clausen_matches_the_linear_scan():
         for q in range(2, n + 2):
             if n % (q - 1) == 0 and is_prime(q):
                 den *= q
-        assert _entry_valid(n, None, -1 if n % 4 == 0 else 1, den), n
+        num = (den << n * n.bit_length()) + 1  # prime to den, as long as |B_n| implies
+        assert _entry_valid(n, None, -num if n % 4 == 0 else num, den), n
     t0 = time.perf_counter()
     assert not _entry_valid(10**9, None, -1, 6)
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_entry_valid_rejects_a_short_numerator_before_factoring_n():
+    """|num| >= 6 |B_n| > 12 n!/(2 pi)^n gives num at least n (bit_length(n) - 6)
+    bits; every real B_n passes that, and a short num with a hard n is refused
+    without trial division."""
+    cache = BernoulliCache()
+    for n in range(2, 1461, 2):
+        b = cache.bernoulli(n)
+        assert _entry_valid(n, None, b.numerator, b.denominator), n
+    t0 = time.perf_counter()
+    assert not _entry_valid(2 * 10000019 * 10000079, None, 1, 6)
+    assert time.perf_counter() - t0 < 0.05
+
+
+def test_store_cache_replaces_the_file_whole(tmp_path, monkeypatch):
+    """A completed store writes the same bytes as before; a store that fails
+    mid-write leaves the previous file untouched and no temporary file."""
+    cache = BernoulliCache()
+    cache.bernoulli(12)
+    path = Path(store_cache(str(tmp_path), cache))
+    before = path.read_bytes()
+    entries = [{"n": n, "disc": disc, "num": str(v.numerator), "den": str(v.denominator)}
+               for n, disc, v in cache.entries()]
+    assert before == (json.dumps({"version": 1, "entries": entries}, sort_keys=True) + "\n").encode()
+    bigger = BernoulliCache()
+    bigger.bernoulli(40)
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"entries": [')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match=f"cache directory {tmp_path} is not writable"):
+        store_cache(str(tmp_path), bigger)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [CACHE_FILE]
 
 
 def test_config_file_defaults_flags_win(tmp_path, capsys):

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 
-from quadcong.bernoulli import bernoulli
+from quadcong.bernoulli import BernoulliCache, bernoulli
 from quadcong.characters import split_character
 from quadcong.lseries import a1_closed_quadratic, lp1_via_class_number, lp_interp_value, wilson_quotient
 from quadcong.padic import vp
@@ -25,6 +26,8 @@ from quadcong.suite import (
     run_instance,
     scan,
 )
+
+bernoulli_module = import_module("quadcong.bernoulli")  # `from quadcong import bernoulli` is the function
 
 
 def test_aac_classical_examples():
@@ -338,3 +341,23 @@ def test_registry_grids_match_check_guards():
         assert instances, stmt
         for inst in instances:
             assert run_instance(inst).statement_id == stmt, inst
+
+
+@pytest.mark.parametrize("check, d, p", [
+    (check_theorem1, 14, 7),
+    (check_corollary_exact_division, 238, 7),
+    (check_super_aacm_criterion, 26, 13),
+])
+def test_split_checks_compute_r_and_3r_in_one_kernel_pass(monkeypatch, check, d, p):
+    """THM1, COR and super-AACM ask for B_{r,psi} and B_{3r,psi} together;
+    lp_interp_value's later read of B_{r,psi} is a cache hit."""
+    fresh = BernoulliCache()
+    asked = []
+    kernel = fresh._gen_bernoulli_compute
+    fresh._gen_bernoulli_compute = lambda ns, chi: asked.append(list(ns)) or kernel(ns, chi)
+    monkeypatch.setattr(bernoulli_module, "DEFAULT_CACHE", fresh)
+    rep = check(d, p)
+    r = split_character(d, p).r
+    assert asked == [[r, 3 * r]]
+    monkeypatch.undo()
+    assert check(d, p) == rep

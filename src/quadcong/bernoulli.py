@@ -11,9 +11,11 @@ Plain even B_n come from tangent numbers (Brent & Harvey,
 arXiv:1108.0286) in integers.  B_{n,chi} come from integer power sums of
 chi over half the range, 1 <= a < f/2, by the reflection
 B_n(1-x) = (-1)^n B_n(x); it also makes B_{n,chi} exactly 0 when
-chi(-1) != (-1)^n.  Indices asked for together (the depth-2 checks ask
-for r and 3r, which share a parity) share one walk over the powers, and
-the terms are combined over one common denominator.  chi is tabulated on
+chi(-1) != (-1)^n.  Indices asked for together share one walk over the
+powers, and the terms are combined over one common denominator.  The
+depth-2 checks ask for r and 3r, which share a parity, and a scan's
+kernel phase (suite.scan) asks once per character for every r and 3r
+of its grid, so a scan walks each character once.  chi is tabulated on
 the process-wide smallest-prime-factor sieve and evaluated only at primes.
 
 The closed power-sum formula stores the index-0 term as F^k B_{0,chi}/(k+1);
@@ -238,7 +240,7 @@ def gen_bernoulli(n: int, chi: QuadChar) -> Fraction:
 
 
 def gen_bernoulli_many(ns: Sequence[int], chi: QuadChar) -> list[Fraction]:
-    """[B_{n,chi} for n in ns], the absent ones from one pass over the characters."""
+    """[B_{n,chi} for n in ns], the absent ones from one kernel walk."""
     return DEFAULT_CACHE.gen_bernoulli_many(ns, chi)
 
 

@@ -10,6 +10,7 @@ stream stays byte-for-byte reproducible.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -164,6 +165,28 @@ def store_cache(cache_dir: str, cache: BernoulliCache | None = None) -> str:
 
 
 # -- output helpers -----------------------------------------------------------
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening `path` for writing would raise, without
+    creating or truncating it, so an unwritable --out fails before any work."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    else:
+        parent = os.path.dirname(path) or "."
+        try:
+            os.stat(parent)
+        except OSError as exc:
+            code = exc.errno
+        else:
+            if not os.path.isdir(parent):
+                code = errno.ENOTDIR
+            else:
+                code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise OSError(code, os.strerror(code), path)
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -446,12 +469,20 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser(argv).parse_args(argv)
+        if args.out:
+            _check_writable(args.out)
         # the only cache load and store: a subcommand that returns, with any
-        # exit code, is persisted; one that raises an input or I/O error is not
+        # exit code, is persisted, and so is one that is interrupted; one that
+        # raises an input or I/O error is not
         cache_dir = getattr(args, "cache_dir", None)
         if cache_dir:
             load_cache(cache_dir)
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except KeyboardInterrupt:
+            if cache_dir:
+                store_cache(cache_dir)
+            raise
         if cache_dir:
             store_cache(cache_dir)
         return code

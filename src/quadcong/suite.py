@@ -21,14 +21,14 @@ printed variants preserved in the regression tests:
 """
 from __future__ import annotations
 
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from multiprocessing import get_context
 from typing import Callable
 
 from .bernoulli import DEFAULT_CACHE, bernoulli, gen_bernoulli_many
-from .characters import CharacterSplit, split_character
+from .characters import CharacterSplit, QuadChar, split_character
 from .lseries import (a0_closed_principal, a1_closed_principal, lp1_via_class_number,
                       lp_interp_value, wilson_quotient)
 from .padic import vp
@@ -308,6 +308,34 @@ def _worker(instance: tuple):
         return None, [], None, f"{instance}: {exc}"
 
 
+def _kernel_jobs(instances: list[tuple]) -> list[tuple[int, list[int]]]:
+    """(psi discriminant, sorted r and 3r over its rows) for each character psi
+    of the (d, p) instances, largest conductor times top index first.
+
+    psi(-1) = (-1)^r, so all indices of one psi share its parity and one
+    kernel walk up to the largest serves them all.
+    """
+    wanted: dict[int, set[int]] = {}
+    for _, d, p, _ in instances:
+        try:
+            split = split_character(d, p)
+        except Exception:  # the row raises again in phase 2 and lands in errors
+            continue
+        wanted.setdefault(split.psi.discriminant, set()).update((split.r, 3 * split.r))
+    return sorted(((disc, sorted(ns)) for disc, ns in wanted.items()),
+                  key=lambda job: abs(job[0]) * job[1][-1], reverse=True)
+
+
+def _kernel_worker(job: tuple[int, list[int]]) -> list[tuple[int, int | None, Fraction]]:
+    """Phase 1 for one character: B_{n,psi} for its indices, handing back the
+    cache entries this inserted.  A failure is left for the rows to report."""
+    disc, ns = job
+    mark = len(DEFAULT_CACHE)
+    with suppress(Exception):
+        gen_bernoulli_many(ns, QuadChar(disc))
+    return DEFAULT_CACHE.entries_since(mark)
+
+
 @dataclass
 class ScanResult:
     reports: list[CongruenceReport] = field(default_factory=list)
@@ -318,18 +346,34 @@ class ScanResult:
 def scan(cfg: ScanConfig) -> ScanResult:
     """Run every instance of the configured grid; reports in instance order.
 
-    Instances are independent.  With jobs > 1 they are farmed to forked
-    workers, each of which starts from a copy of the default cache and
-    hands back exactly the entries it inserted; the parent merges them so
-    they can be persisted.  Serially the entries are already in place.
+    A scan of a statement that takes d runs in two phases.  Phase 1 makes
+    one gen_bernoulli_many call per character psi of the grid, for the
+    union of r and 3r over its rows, so each psi costs one kernel walk
+    (none on a warm cache).  Phase 2 runs the rows, whose B_{n,psi} reads
+    are then cache hits.  With jobs > 1 each phase is farmed to forked
+    workers: phase 1 by character, largest first, phase 2 by row.  Each
+    worker starts from a copy of the default cache and hands back exactly
+    the entries it inserted; the parent merges them, so they can be
+    persisted and so the phase-2 workers, forked after the phase-1 merge,
+    inherit every B_{n,psi}.  Serially the entries are already in place.
     """
     instances = build_instances(cfg)
     result = ScanResult()
+    forked = get_context("fork") if cfg.jobs > 1 and len(instances) > 1 else None
+    if lookup(cfg.statement).takes_d:
+        jobs = _kernel_jobs(instances)
+        if forked is None or len(jobs) <= 1:
+            for job in jobs:
+                _kernel_worker(job)
+        else:
+            with forked.Pool(processes=cfg.jobs) as pool:
+                for entries in pool.imap_unordered(_kernel_worker, jobs):
+                    DEFAULT_CACHE.merge(entries)
     with ExitStack() as stack:
-        if cfg.jobs == 1 or len(instances) <= 1:
+        if forked is None:
             outcomes = map(_worker, instances)
         else:
-            pool = stack.enter_context(get_context("fork").Pool(processes=cfg.jobs))
+            pool = stack.enter_context(forked.Pool(processes=cfg.jobs))
             outcomes = pool.imap(_worker, instances, chunksize=4)
         for report, entries, v, err in outcomes:
             if err is not None:

@@ -482,6 +482,67 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
     assert "Traceback" not in err
 
 
+def test_unwritable_out_fails_before_any_row_is_computed(tmp_path, capsys, monkeypatch):
+    import quadcong.cli as cli_mod
+    import quadcong.suite as suite_mod
+
+    def no_row(instance):
+        pytest.fail(f"computed {instance} before checking --out")
+
+    for module in (suite_mod, cli_mod):
+        monkeypatch.setattr(module, "run_instance", no_row)
+    out = tmp_path / "missing" / "x.json"
+    code, _, err = run_cli(capsys, "verify", "thm1", "--d", "14", "--p", "7", "--out", str(out))
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert not out.parent.exists()
+
+
+def test_input_error_leaves_an_existing_out_file_alone(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    out.write_text("previous\n")
+    code, _, _ = run_cli(capsys, "verify", "thm1", "--p", "7", "--out", str(out))
+    assert code == 2
+    assert out.read_text() == "previous\n"
+
+
+def test_interrupted_scan_stores_every_character_value_of_its_grid(tmp_path, monkeypatch):
+    """Phase 1 has filled the cache before the rows run, so a scan
+    interrupted at its third row still persists every B_{r,psi}, B_{3r,psi}."""
+    from importlib import import_module
+
+    import quadcong.cli as cli_mod
+    import quadcong.suite as suite_mod
+    from quadcong.characters import split_character
+
+    fresh = BernoulliCache()
+    for module in (import_module("quadcong.bernoulli"), suite_mod, cli_mod):
+        monkeypatch.setattr(module, "DEFAULT_CACHE", fresh)
+    rows = []
+    row = suite_mod.run_instance
+
+    def interrupted_at_the_third_row(instance):
+        rows.append(instance)
+        if len(rows) == 3:
+            raise KeyboardInterrupt
+        return row(instance)
+
+    monkeypatch.setattr(suite_mod, "run_instance", interrupted_at_the_third_row)
+    with pytest.raises(KeyboardInterrupt):
+        main(["scan", "thm1", "--d-max", "150", "--p-max", "23", "--cache-dir", str(tmp_path)])
+    assert len(rows) == 3
+    loaded = BernoulliCache()
+    accepted, rejected = load_cache(str(tmp_path), loaded)
+    assert accepted and rejected == 0
+    grid = suite_mod.build_instances(suite_mod.ScanConfig("THM1", d_max=150, p_max=23))
+    assert len(grid) > 3
+    for _, d, p, _ in grid:
+        split = split_character(d, p)
+        disc = None if split.psi.is_principal else split.psi.discriminant
+        for n in (split.r, 3 * split.r):
+            assert loaded.get(n, disc) == fresh.get(n, disc) is not None, (d, p, n)
+
+
 def test_scan_nondetector_failure_exits_1(capsys):
     """Lowering the floor to p = 3 pulls in the documented (3, 4) failure."""
     code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from importlib import import_module
 
@@ -10,8 +11,10 @@ from quadcong.padic import vp
 from quadcong.quadfield import class_number, field_invariants, fundamental_unit, is_squarefree, vp_u
 from quadcong.suite import (
     AAC_CLASSICAL,
+    COR_EXACT_DIV,
     LEHMER_THM2,
     STATEMENTS,
+    SUPER_AACM_CRIT,
     THM1,
     ScanConfig,
     build_instances,
@@ -28,6 +31,29 @@ from quadcong.suite import (
 )
 
 bernoulli_module = import_module("quadcong.bernoulli")  # `from quadcong import bernoulli` is the function
+suite_module = import_module("quadcong.suite")
+_row_worker = suite_module._worker
+
+
+def _worker_refusing_character_entries(instance):
+    """The row worker, turning a B_{n,chi} the row had to compute into an error:
+    after phase 1 every character value a row reads is a cache hit."""
+    report, entries, v, err = _row_worker(instance)
+    if any(disc is not None for _, disc, _ in entries):
+        return None, [], None, f"{instance}: the row computed a character entry"
+    return report, entries, v, err
+
+
+def _install_fresh_cache(monkeypatch) -> tuple[BernoulliCache, list]:
+    """A fresh default cache for the checks and the scan, and the index lists
+    its kernel is asked for."""
+    fresh = BernoulliCache()
+    asked = []
+    kernel = fresh._gen_bernoulli_compute
+    fresh._gen_bernoulli_compute = lambda ns, chi: asked.append(list(ns)) or kernel(ns, chi)
+    monkeypatch.setattr(bernoulli_module, "DEFAULT_CACHE", fresh)
+    monkeypatch.setattr(suite_module, "DEFAULT_CACHE", fresh)
+    return fresh, asked
 
 
 def test_aac_classical_examples():
@@ -361,3 +387,50 @@ def test_split_checks_compute_r_and_3r_in_one_kernel_pass(monkeypatch, check, d,
     assert asked == [[r, 3 * r]]
     monkeypatch.undo()
     assert check(d, p) == rep
+
+
+def test_scan_walks_the_kernel_once_per_character(monkeypatch):
+    """d <= 2000, p <= 200: 1089 rows over 255 non-principal characters psi
+    take 255 walks (a walk per row took 1069); a warm rescan takes none."""
+    _, asked = _install_fresh_cache(monkeypatch)
+    cfg = ScanConfig(statement=THM1, d_max=2000, p_max=200)
+    result = scan(cfg)
+    assert len(result.reports) == 1089 and not result.errors
+    psis = {split_character(d, p).psi for _, d, p, _ in build_instances(cfg)}
+    assert len(asked) == sum(not psi.is_principal for psi in psis) == 255
+    asked.clear()
+    assert [r.to_json_line() for r in scan(cfg).reports] == [
+        r.to_json_line() for r in result.reports]
+    assert asked == []
+
+
+@pytest.mark.parametrize("cfg", [
+    ScanConfig(statement=COR_EXACT_DIV, d_max=1500, p_max=60),
+    ScanConfig(statement=SUPER_AACM_CRIT, d_max=300, p_max=50),
+], ids=lambda cfg: cfg.statement)
+def test_phase_one_statements_scan_alike_serially_and_in_parallel(monkeypatch, cfg):
+    """From a fresh cache, --jobs 1 and --jobs 2 give the same rows and the
+    same cache, and no row computes a B_{n,chi}: phase 1 did."""
+    monkeypatch.setattr(suite_module, "_worker", _worker_refusing_character_entries)
+    seen = []
+    for jobs in (1, 2):
+        fresh, _ = _install_fresh_cache(monkeypatch)
+        result = scan(replace(cfg, jobs=jobs))
+        assert len(result.reports) > 3 and not result.errors
+        seen.append(([r.to_json_line() for r in result.reports], fresh.entries()))
+    assert seen[0] == seen[1]
+    assert any(disc is not None for _, disc, _ in seen[0][1])
+
+
+def test_phase_one_failure_leaves_the_rows_to_report_it(monkeypatch):
+    """A kernel that raises does not abort the scan: each row of the
+    character retries it and lands in errors."""
+    fresh, _ = _install_fresh_cache(monkeypatch)
+
+    def broken(ns, chi):
+        raise ArithmeticError(f"kernel refused {chi.discriminant}")
+
+    fresh._gen_bernoulli_compute = broken
+    result = scan(ScanConfig(statement=THM1, d_max=60, p_max=13))
+    assert result.errors and all("kernel refused" in e for e in result.errors)
+    assert result.reports and all(r.d == r.p for r in result.reports)  # only principal psi rows got through

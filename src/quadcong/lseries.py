@@ -7,7 +7,9 @@ b_k truncations are good to depth 3, and the 1/F prefactor spends one
 power of p).  Two independent routes exist for a_0 and a_1: the direct
 restricted character sums, and closed forms in (generalized) Bernoulli
 numbers and Wilson quotients; their agreement mod p^2 is a pillar of the
-test suite.
+test suite.  The direct route adds integers only: six sums over a = 1..F
+of chi(a) times 1, f(2 - p f), f^2, L/a, L^2/a^2 and f L/a, with f the
+Fermat quotient of a and L = lcm(1..F), and one Fraction per coefficient.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from math import factorial
 
 from .bernoulli import bernoulli, gen_bernoulli, gen_bernoulli_many
 from .characters import CharacterSplit, QuadChar, char_values
-from .padic import fermat_quotient, log_from_fermat_quotient, unit_log_series, vp
-from .primes import is_prime
+from .padic import fermat_quotient, unit_log_series, vp
+from .primes import is_prime, primes_up_to
 from .quadfield import FieldInvariants
 
 _stirling_rows: list[list[int]] = [[1]]
@@ -93,8 +95,12 @@ def a_coefficients_direct(chi: QuadChar, p: int) -> CoefficientBundle:
 
     F is p for the principal character and the conductor for a quadratic
     character whose conductor p divides; other characters are outside the
-    supported setup.  Exact rationals throughout (1/a stays 1/a; log_p is
-    replaced by its depth-3 surrogate).
+    supported setup.  Each term is linear in six integers per a, so with
+    L = lcm(1..F) the loop adds integers only: sum chi(a), sum chi(a)
+    f(2 - p f), sum chi(a) f^2, sum chi(a) L/a, sum chi(a) L^2/a^2 and
+    sum chi(a) f L/a over p not dividing a, f the Fermat quotient of a.
+    Each coefficient is then one exact Fraction whose denominator divides
+    12 (p-1)^2 L^2 F (log_p is replaced by its depth-3 surrogate).
     """
     if p <= 3 or not is_prime(p):
         raise ValueError(f"need a prime p > 3, got {p}")
@@ -107,11 +113,14 @@ def a_coefficients_direct(chi: QuadChar, p: int) -> CoefficientBundle:
                 f"conductor {F} is prime to p = {p}; the coefficient sums need p | conductor"
             )
     vals = char_values(chi, F)
-    am1 = Fraction(0)
-    a0 = Fraction(0)
-    a1 = Fraction(0)
-    c_sq = Fraction(p * p, 2 * (p - 1) ** 2)
-    c_lin = Fraction(p, 2 * (p - 1))
+    L = 1
+    for ell in primes_up_to(F):  # L = lcm(1..F), the largest power of each prime <= F
+        power = ell
+        while power * ell <= F:
+            power *= ell
+        L *= power
+    LL = L * L
+    s_chi = s_log = s_f2 = s_inv = s_inv2 = s_finv = 0
     for a in range(1, F + 1):
         if a % p == 0:
             continue
@@ -119,19 +128,31 @@ def a_coefficients_direct(chi: QuadChar, p: int) -> CoefficientBundle:
         if cv == 0:
             continue
         fa = fermat_quotient(a, p)
-        x = Fraction(F, a)
-        term0 = log_from_fermat_quotient(fa, p) - x / 2 - x * x / 12
-        term1 = c_sq * fa * fa + x * x / 12 - c_lin * fa * x
+        f2 = fa * fa
+        inv = L // a
         if cv == 1:
-            am1 += 1
-            a0 += term0
-            a1 += term1
+            s_chi += 1
+            s_log += 2 * fa - p * f2
+            s_f2 += f2
+            s_inv += inv
+            s_inv2 += LL // (a * a)
+            s_finv += fa * inv
         else:
-            am1 -= 1
-            a0 -= term0
-            a1 -= term1
+            s_chi -= 1
+            s_log -= 2 * fa - p * f2
+            s_f2 -= f2
+            s_inv -= inv
+            s_inv2 -= LL // (a * a)
+            s_finv -= fa * inv
+    # a_0 = -(p s_log/(2(p-1)) - F s_inv/(2L) - F^2 s_inv2/(12 L^2))/F and
+    # a_1 = -(p^2 s_f2/(2(p-1)^2) + F^2 s_inv2/(12 L^2) - p F s_finv/(2(p-1)L))/F
+    m = p - 1
+    a0 = Fraction(6 * m * F * s_inv * L + m * F * F * s_inv2 - 6 * p * s_log * LL,
+                  12 * m * LL * F)
+    a1 = Fraction(6 * p * m * F * s_finv * L - 6 * p * p * s_f2 * LL - m * m * F * F * s_inv2,
+                  12 * m * m * LL * F)
     bundle = CoefficientBundle(
-        a_minus1=-am1 / F, a0=-a0 / F, a1=-a1 / F, character=chi, p=p, F=F
+        a_minus1=Fraction(-s_chi, F), a0=a0, a1=a1, character=chi, p=p, F=F
     )
     bundle.check_invariants()
     return bundle

@@ -53,13 +53,13 @@ def congruent(a: Fraction | int, b: Fraction | int, p: int, depth: int) -> bool:
     return difference_verdict(a, b, p, depth)[1]
 
 
-def fermat_quotient(a: int, p: int) -> Fraction:
-    """(a^(p-1) - 1)/p for a coprime to p; always an integer value."""
+def fermat_quotient(a: int, p: int) -> int:
+    """(a^(p-1) - 1)/p for a coprime to p, an integer by Fermat's little theorem."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if a % p == 0:
         raise ValueError(f"fermat_quotient needs gcd(a, p) = 1, got a={a}, p={p}")
-    return Fraction(pow(a, p - 1) - 1, p)
+    return (pow(a, p - 1) - 1) // p
 
 
 def log_surrogate(a: int, p: int) -> Fraction:
@@ -74,7 +74,7 @@ def log_surrogate(a: int, p: int) -> Fraction:
     return log_from_fermat_quotient(fermat_quotient(a, p), p)
 
 
-def log_from_fermat_quotient(fa: Fraction, p: int) -> Fraction:
+def log_from_fermat_quotient(fa: int, p: int) -> Fraction:
     """The log surrogate (p F - p^2 F^2 / 2)/(p - 1) from F = fermat_quotient(a, p)."""
     return Fraction(p * fa * (2 - p * fa), 2 * (p - 1))
 

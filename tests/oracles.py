@@ -7,7 +7,9 @@ from literal summation, units from exhaustive search, class numbers
 from ideal enumeration with principality decided by norm-form scans.
 `tangent_bernoulli` uses the same tangent-number method as production,
 so it checks the incremental bookkeeping, not the method; independence
-for plain B_n rests on the other two.
+for plain B_n rests on the other two.  `a_coefficients_literal` reads
+production's character table and Fermat quotient, both checked on their
+own elsewhere, and sums the L-series terms one `Fraction` at a time.
 """
 from __future__ import annotations
 
@@ -15,6 +17,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
+
+from quadcong.characters import QuadChar, char_values
+from quadcong.padic import fermat_quotient
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
@@ -123,6 +128,41 @@ def gen_bernoulli_series(n: int, f: int, chi_vals) -> Fraction:
             acc -= q[i] * den[j - i]
         q[j] = acc / den[0]
     return q[n] * fact[n]
+
+
+def a_coefficients_literal(chi: QuadChar, p: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(a_{-1}, a_0, a_1) of L_p(1-s, chi) by the per-term Fraction sums over a = 1..F.
+
+    F is p for the principal character and the conductor otherwise; each
+    term keeps 1/a as a Fraction and log_p as its depth-3 surrogate
+    (p f - p^2 f^2/2)/(p - 1), f the Fermat quotient of a.
+    """
+    F = p if chi.is_principal else chi.conductor
+    vals = char_values(chi, F)
+    am1 = Fraction(0)
+    a0 = Fraction(0)
+    a1 = Fraction(0)
+    c_sq = Fraction(p * p, 2 * (p - 1) ** 2)
+    c_lin = Fraction(p, 2 * (p - 1))
+    for a in range(1, F + 1):
+        if a % p == 0:
+            continue
+        cv = vals[a]
+        if cv == 0:
+            continue
+        fa = fermat_quotient(a, p)
+        x = Fraction(F, a)
+        term0 = Fraction(p * fa * (2 - p * fa), 2 * (p - 1)) - x / 2 - x * x / 12
+        term1 = c_sq * fa * fa + x * x / 12 - c_lin * fa * x
+        if cv == 1:
+            am1 += 1
+            a0 += term0
+            a1 += term1
+        else:
+            am1 -= 1
+            a0 -= term0
+            a1 -= term1
+    return -am1 / F, -a0 / F, -a1 / F
 
 
 def stirling_poly_row(j: int) -> list[int]:

@@ -4,7 +4,9 @@ Each case runs `cli.main` in-process and pins its exit code, the sha256
 of its stdout and the sha256 of its stderr with the manifest's
 `wall_time_s` removed (stderr carries the run manifest and the `error:`,
 `alert:` and `attention:` lines).  The stdout hashes were taken at
-commit 343f482, the stderr hashes at commit 603c3d4; both hold for every
+commit 343f482, the stderr hashes at commit 603c3d4, and both hashes of
+`lfun --p 293` and `lfun --p 29 --d 2929` (conductor 2929, the largest
+direct L-series sum pinned here) at commit f5aed2c; all hold for every
 change that leaves those bytes alone, and a change that means to alter
 them must say so and update the table.
 """
@@ -64,6 +66,10 @@ GOLDEN = [
      "3cee81753d88c2328a22c5082c839add8a68cc7d9235d757aeb518338776d24d", NO_STDERR),
     (("lfun", "--p", "11", "--d", "33"), 0,
      "397705ca84dd6931661cb7dd9c45f782f3036a82a67e72c13c8ea78d11095ecc", NO_STDERR),
+    (("lfun", "--p", "293"), 0,
+     "c81f3c36df5cf62d5421118e4bd09de86fa1c26bf44911338ab0ddc69451d8fe", NO_STDERR),
+    (("lfun", "--p", "29", "--d", "2929"), 0,
+     "1d317ab6487e4817aeb3fd29b43629988e317e79fe29ef736eb233874aa69c35", NO_STDERR),
     (("bernoulli", "--n", "40"), 0,
      "17cd383aa8c2dec67570903357d89e6b599f493c2a4a1f53d1413135e11502eb", NO_STDERR),
     (("bernoulli", "--n", "21", "--disc", "-7"), 0,

@@ -19,9 +19,10 @@ from quadcong.lseries import (
     zeta_star_value,
 )
 from quadcong.padic import vp
+from quadcong.primes import is_prime
 from quadcong.quadfield import FieldInvariants, field_invariants, is_squarefree
 
-from oracles import stirling_poly_row
+from oracles import a_coefficients_literal, stirling_poly_row
 
 
 def quad_grid(p_list, d_max):
@@ -116,6 +117,18 @@ def test_bundle_invariants_on_grid():
         split = split_character(d, p)
         bundle = a_coefficients_direct(split.chi_d, p)
         bundle.check_invariants()  # raises on violation
+
+
+def test_direct_coefficients_match_literal_sums():
+    """The integer-sum kernel gives exactly the per-term Fraction sums."""
+    cases = [(QuadChar.principal(), p) for p in range(5, 201) if is_prime(p)]
+    cases += [(split_character(d, p).chi_d, p) for d, p in quad_grid((5, 7, 11, 13), 200)]
+    cases.append((split_character(2929, 29).chi_d, 29))
+    assert cases[-1][0].conductor == 2929
+    for chi, p in cases:
+        bundle = a_coefficients_direct(chi, p)
+        got = (bundle.a_minus1, bundle.a0, bundle.a1)
+        assert got == a_coefficients_literal(chi, p), (chi.discriminant, p)
 
 
 def test_wilson_quotients():

@@ -82,6 +82,7 @@ def test_congruent_equivalence_and_depth(x, y, z, p, k):
 
 def test_fermat_quotient_examples():
     assert fermat_quotient(2, 5) == 3
+    assert type(fermat_quotient(2, 5)) is int
     assert fermat_quotient(3, 7) == 104
     for p in (5, 7, 11):
         assert fermat_quotient(1, p) == 0

@@ -6,13 +6,12 @@ congruence verdict is a p-adic valuation computed on a rational difference.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .padic import (
     INF,
-    congruent,
     difference_verdict,
     fermat_quotient,
-    is_p_integral,
-    log_surrogate,
     unit_log_series,
     vp,
 )
@@ -21,22 +20,13 @@ from .characters import (
     QuadChar,
     is_fundamental_discriminant,
     kronecker,
-    legendre,
     split_character,
 )
 from .bernoulli import (
     BernoulliCache,
     bernoulli,
-    bernoulli_poly,
-    carlitz_check,
     gen_bernoulli,
     gen_bernoulli_many,
-    lemma_power_sum_nonprincipal,
-    lemma_power_sum_principal,
-    power_sum_closed,
-    power_sum_direct,
-    power_sum_restricted,
-    sun_congruence_check,
 )
 from .quadfield import (
     ClassNumber,
@@ -55,12 +45,9 @@ from .lseries import (
     a1_closed_principal,
     a1_closed_quadratic,
     a_coefficients_direct,
-    b_coeff,
     lp1_via_class_number,
     lp_interp_value,
-    stirling1,
     wilson_quotient,
-    zeta_star_value,
 )
 from .reports import CongruenceReport, make_report, rederive_holds
 from .suite import (
@@ -76,4 +63,6 @@ from .suite import (
     scan,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# dir() also lists the submodules that the imports above bind; they are not API
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -40,14 +40,6 @@ def kronecker(a: int, n: int) -> int:
     return res if n == 1 else 0
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) via Euler's criterion; p an odd prime."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"legendre needs an odd prime, got {p}")
-    r = pow(a % p, (p - 1) // 2, p)
-    return r - p if r > 1 else r
-
-
 def is_fundamental_discriminant(n: int) -> bool:
     """True for discriminants of quadratic fields (the sentinel 1 is excluded)."""
     if n == 0 or n == 1:

@@ -13,7 +13,6 @@ Fermat quotient of a and L = lcm(1..F), and one Fraction per coefficient.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -23,46 +22,6 @@ from .characters import CharacterSplit, QuadChar, char_values
 from .padic import fermat_quotient, unit_log_series, vp
 from .primes import is_prime, primes_up_to
 from .quadfield import FieldInvariants
-
-_stirling_rows: list[list[int]] = [[1]]
-_stirling_lock = threading.Lock()
-
-
-def stirling1(j: int, k: int) -> int:
-    """Signed Stirling number of the first kind: x(x-1)...(x-j+1) = sum S(j,k) x^k."""
-    if not 0 <= k <= j:
-        raise ValueError(f"need 0 <= k <= j, got j={j}, k={k}")
-    if j >= len(_stirling_rows):
-        with _stirling_lock:
-            while len(_stirling_rows) <= j:
-                n = len(_stirling_rows) - 1
-                prev = _stirling_rows[-1]
-                row = [0] * (n + 2)
-                for kk in range(n + 2):
-                    row[kk] = (prev[kk - 1] if kk else 0) - n * (prev[kk] if kk <= n else 0)
-                _stirling_rows.append(row)
-    return _stirling_rows[j][k]
-
-
-def b_coeff(a: int, k: int, F: int, p: int) -> Fraction:
-    """Truncated Taylor coefficient b_k(a) of the binomial-sum kernel, k <= 2.
-
-    b_0 = 1, b_1 = -(F/a)/2 - (F/a)^2/12, b_2 = (F/a)^2/12; each is the
-    mod-p^3 truncation of sum_{j>=k} (F/a)^j (B_j/j!) S(j,k), valid for
-    p >= 5 (the dropped terms have valuation >= 3 once v_p(F) = 1).
-    """
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"b_coeff needs a prime p >= 5, got {p}")
-    if a % p == 0:
-        raise ValueError(f"b_coeff needs gcd(a, p) = 1, got a={a}")
-    if k not in (0, 1, 2):
-        raise ValueError(f"only k in {{0,1,2}} is supported, got {k}")
-    x = Fraction(F, a)
-    if k == 0:
-        return Fraction(1)
-    if k == 1:
-        return -x / 2 - x * x / 12
-    return x * x / 12
 
 
 @dataclass(frozen=True)
@@ -193,62 +152,26 @@ def a1_closed_quadratic(split: CharacterSplit) -> Fraction:
         raise ValueError("d = 5 carries correction terms this closed form omits")
     r = split.r
     _, b3r = gen_bernoulli_many((r, 3 * r), split.psi)  # lp_interp_value reads B_r back
-    lp = lp_interp_value(r, split.p, split)
+    lp = lp_interp_value(r, split)
     return -(b3r / 3 + r * lp) / (2 * r * r)
 
 
-def a1_closed_quadratic_plain_bernoulli(split: CharacterSplit) -> Fraction:
-    """Variant reading with the ordinary B_r in the subtracted term.
+def lp_interp_value(n: int, split: CharacterSplit) -> Fraction:
+    """Interpolation value L_p(1-n, .) at a positive integer n, p = split.p.
 
-    Kept only so the suite can document that this reading breaks both the
-    dual-path agreement and the |a1|_p < 1 bound; not part of the API
-    proper.
-    """
-    p, r, psi = split.p, split.r, split.psi
-    euler = 1 - psi(p) * p ** (r - 1)
-    return -(gen_bernoulli(3 * r, psi) / 3 - euler * bernoulli(r)) / (2 * r * r)
-
-
-def lp_interp_value(n: int, p: int, split: CharacterSplit | None = None) -> Fraction:
-    """Interpolation value L_p(1-n, .) at an admissible positive integer n.
-
-    Quadratic case (split given): n = r mod (p-1) so the twisted character
-    collapses to psi, and the value is -(1 - psi(p) p^(n-1)) B_{n,psi}/n.
-    Principal case: n = 0 mod (p-1) and the value is -(1 - p^(n-1)) B_n/n.
-    Other residue classes would need non-quadratic twists and are refused.
+    At n = r mod (p-1) the twisted character collapses to psi, and the
+    value is -(1 - psi(p) p^(n-1)) B_{n,psi}/n.  Other residue classes
+    would need non-quadratic twists and are refused.
     """
     if n < 1:
         raise ValueError("interpolation points are integers n >= 1")
-    if p <= 3 or not is_prime(p):
-        raise ValueError(f"need a prime p > 3, got {p}")
-    if split is None:
-        if n % (p - 1) != 0:
-            raise ValueError(
-                f"principal-character values need n = 0 mod (p-1); n={n}, p={p}"
-            )
-        return -(1 - Fraction(p) ** (n - 1)) * bernoulli(n) / n
-    if split.p != p:
-        raise ValueError("split and p disagree")
-    r = split.r
+    p, r = split.p, split.r
     if n % (p - 1) != r % (p - 1):
         raise ValueError(
             f"quadratic values need n = (p-1)/2 mod (p-1); n={n}, p={p}"
         )
     psi = split.psi
     return -(1 - psi(p) * Fraction(p) ** (n - 1)) * gen_bernoulli(n, psi) / n
-
-
-def zeta_star_value(n: int, p: int) -> Fraction:
-    """Pole-corrected zeta value zeta*_p(1-n) = L_p(1-n, chi_0) + R/n.
-
-    Defined at multiples n of p-1; R = 1 - 1/p.
-    """
-    if p <= 3 or not is_prime(p):
-        raise ValueError(f"need a prime p > 3, got {p}")
-    if n < 1 or n % (p - 1) != 0:
-        raise ValueError(f"n must be a positive multiple of p - 1 = {p - 1}, got {n}")
-    R = 1 - Fraction(1, p)
-    return lp_interp_value(n, p) + R / n
 
 
 def lp1_via_class_number(inv: FieldInvariants, p: int) -> Fraction:

@@ -36,21 +36,11 @@ def vp(x: Fraction | int, p: int) -> int | float:
     return -_int_vp(x.denominator, p)
 
 
-def is_p_integral(x: Fraction | int, p: int) -> bool:
-    """True iff |x|_p <= 1."""
-    return vp(x, p) >= 0
-
-
 def difference_verdict(a: Fraction | int, b: Fraction | int, p: int,
                        depth: int) -> tuple[int | float, bool]:
     """(v_p(a - b), v_p(a - b) >= depth): the one congruence decision."""
     v = vp(Fraction(a) - Fraction(b), p)
     return v, v >= depth
-
-
-def congruent(a: Fraction | int, b: Fraction | int, p: int, depth: int) -> bool:
-    """Exact congruence a = b mod p^depth."""
-    return difference_verdict(a, b, p, depth)[1]
 
 
 def fermat_quotient(a: int, p: int) -> int:
@@ -60,23 +50,6 @@ def fermat_quotient(a: int, p: int) -> int:
     if a % p == 0:
         raise ValueError(f"fermat_quotient needs gcd(a, p) = 1, got a={a}, p={p}")
     return (pow(a, p - 1) - 1) // p
-
-
-def log_surrogate(a: int, p: int) -> Fraction:
-    """Rational stand-in for log_p(a), exact to mod p^3.
-
-    Computed as (p*F(a) - p^2*F(a)^2/2)/(p-1) with F the Fermat quotient;
-    agreement with the p-adic logarithm to depth 3 is what every later
-    coefficient formula relies on.
-    """
-    if p <= 3:
-        raise ValueError(f"log surrogate needs p > 3, got {p}")
-    return log_from_fermat_quotient(fermat_quotient(a, p), p)
-
-
-def log_from_fermat_quotient(fa: int, p: int) -> Fraction:
-    """The log surrogate (p F - p^2 F^2 / 2)/(p - 1) from F = fermat_quotient(a, p)."""
-    return Fraction(p * fa * (2 - p * fa), 2 * (p - 1))
 
 
 def unit_log_series(d: int, t: int, u: int, n_max: int) -> Fraction:

@@ -84,7 +84,7 @@ def check_theorem1(d: int, p: int) -> CongruenceReport:
     r = split.r
     lhs = 2 * lp1_via_class_number(field_invariants(d), p)
     _, b3r = gen_bernoulli_many((r, 3 * r), split.psi)  # lp_interp_value reads B_r back
-    rhs = 3 * lp_interp_value(r, p, split) + b3r / (3 * r)
+    rhs = 3 * lp_interp_value(r, split) + b3r / (3 * r)
     return make_report(THM1, lhs, rhs, p, depth=2, d=d)
 
 

@@ -14,8 +14,7 @@ from math import isqrt
 
 import pytest
 
-from quadcong.bernoulli import power_sum_closed, power_sum_direct, power_sum_restricted
-from quadcong.characters import QuadChar, legendre, split_character
+from quadcong.characters import QuadChar, kronecker, split_character
 from quadcong.lseries import (
     a0_closed_principal,
     a1_closed_principal,
@@ -23,7 +22,6 @@ from quadcong.lseries import (
     a_coefficients_direct,
     lp1_via_class_number,
     lp_interp_value,
-    stirling1,
     wilson_quotient,
 )
 from quadcong.padic import vp
@@ -41,7 +39,14 @@ from quadcong.suite import (
     scan,
 )
 
-from oracles import ideal_class_number, legendre_squares, pell_min_solution, pell_solutions_upto
+from lemmas import power_sum_closed, power_sum_direct, power_sum_restricted
+from oracles import (
+    ideal_class_number,
+    legendre_squares,
+    pell_min_solution,
+    pell_solutions_upto,
+    stirling_poly_row,
+)
 
 LONG_RUNNING = bool(os.environ.get("QUADCONG_LONG_RUNNING"))
 JOBS = min(8, os.cpu_count() or 1)
@@ -247,11 +252,11 @@ def test_criterion_08_exact_identities():
                 if power_sum_restricted(k, F, chi, p) != want:
                     problems.append(("restricted", chi.discriminant, p, k))
     for j in range(2, 15):
-        if sum(stirling1(j, kk) for kk in range(j + 1)) != 0:
+        if sum(stirling_poly_row(j)[kk] for kk in range(j + 1)) != 0:
             problems.append(("stirling-row", j))
     from math import factorial
     for j in range(15):
-        if sum(abs(stirling1(j, kk)) for kk in range(j + 1)) != factorial(j):
+        if sum(abs(stirling_poly_row(j)[kk]) for kk in range(j + 1)) != factorial(j):
             problems.append(("stirling-abs", j))
     from quadcong.bernoulli import bernoulli
     for k in range(1, 31):
@@ -285,7 +290,7 @@ def test_criterion_09_integration_identity():
         inv = field_invariants(d)
         split = split_character(d, p)
         lhs = lp1_via_class_number(inv, p)
-        rhs = lp_interp_value(split.r, p, split) - split.r * a1_closed_quadratic(split)
+        rhs = lp_interp_value(split.r, split) - split.r * a1_closed_quadratic(split)
         if vp(lhs - rhs, p) < 2:
             bad.append((d, p))
         count += 1
@@ -317,7 +322,7 @@ def test_criterion_10_oracle_checks():
         if p == 2:
             continue
         for a in range(p):
-            if legendre(a, p) != legendre_squares(a, p):
+            if kronecker(a, p) != legendre_squares(a, p):
                 problems.append(("legendre", a, p))
     _verdict(
         10, not problems,

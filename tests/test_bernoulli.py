@@ -6,20 +6,7 @@ from math import comb
 
 import pytest
 
-from quadcong.bernoulli import (
-    BernoulliCache,
-    bernoulli,
-    bernoulli_poly,
-    carlitz_check,
-    gen_bernoulli,
-    gen_bernoulli_many,
-    lemma_power_sum_nonprincipal,
-    lemma_power_sum_principal,
-    power_sum_closed,
-    power_sum_direct,
-    power_sum_restricted,
-    sun_congruence_check,
-)
+from quadcong.bernoulli import BernoulliCache, bernoulli, gen_bernoulli, gen_bernoulli_many
 from quadcong import primes as primes_module
 from quadcong.characters import QuadChar, char_values, is_fundamental_discriminant, kronecker, split_character
 from quadcong.padic import INF, vp
@@ -30,6 +17,16 @@ from oracles import (
     bernoulli_binomial_recurrence,
     gen_bernoulli_series,
     tangent_bernoulli,
+)
+from lemmas import (
+    bernoulli_poly,
+    carlitz_check,
+    lemma_power_sum_nonprincipal,
+    lemma_power_sum_principal,
+    power_sum_closed,
+    power_sum_direct,
+    power_sum_restricted,
+    sun_congruence_check,
 )
 
 CHI3 = QuadChar(-3)

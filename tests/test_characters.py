@@ -9,7 +9,6 @@ from quadcong.characters import (
     char_values,
     is_fundamental_discriminant,
     kronecker,
-    legendre,
     split_character,
 )
 from quadcong.primes import primes_up_to
@@ -38,14 +37,11 @@ def test_kronecker_against_definition():
             assert kronecker(delta, n) == kronecker_reference(delta, n), (delta, n)
 
 
-def test_legendre_examples_and_errors():
-    assert legendre(2, 7) == 1
-    assert legendre(2, 5) == -1
-    assert legendre(35, 7) == 0
-    with pytest.raises(ValueError):
-        legendre(3, 2)
-    with pytest.raises(ValueError):
-        legendre(3, 15)
+def test_legendre_examples():
+    """At an odd prime p the Kronecker symbol (a/p) is Legendre's."""
+    assert kronecker(2, 7) == 1
+    assert kronecker(2, 5) == -1
+    assert kronecker(35, 7) == 0
 
 
 def test_legendre_against_square_enumeration():
@@ -54,7 +50,7 @@ def test_legendre_against_square_enumeration():
         if p == 2:
             continue
         for a in range(p):
-            assert legendre(a, p) == legendre_squares(a, p), (a, p)
+            assert kronecker(a, p) == legendre_squares(a, p), (a, p)
 
 
 def test_eval_char_examples():
@@ -159,7 +155,7 @@ def test_split_identity_full_grid():
                 psiv = char_values(split.psi, D)
                 for a in range(1, D + 1):
                     if gcd(a, D) == 1:
-                        assert chiv[a] == legendre(a, p) * psiv[a], (a, d, p)
+                        assert chiv[a] == kronecker(a, p) * psiv[a], (a, d, p)
                 count += 1
     assert count > 1000
 

@@ -9,20 +9,22 @@ from quadcong.lseries import (
     a0_closed_principal,
     a1_closed_principal,
     a1_closed_quadratic,
-    a1_closed_quadratic_plain_bernoulli,
     a_coefficients_direct,
-    b_coeff,
     lp1_via_class_number,
     lp_interp_value,
-    stirling1,
     wilson_quotient,
-    zeta_star_value,
 )
 from quadcong.padic import vp
 from quadcong.primes import is_prime
 from quadcong.quadfield import FieldInvariants, field_invariants, is_squarefree
 
 from oracles import a_coefficients_literal, stirling_poly_row
+from lemmas import (
+    a1_closed_quadratic_plain_bernoulli,
+    b_coeff,
+    lp_principal_value,
+    zeta_star_value,
+)
 
 
 def quad_grid(p_list, d_max):
@@ -34,25 +36,17 @@ def quad_grid(p_list, d_max):
 
 
 def test_stirling_examples():
-    assert stirling1(3, 2) == -3
-    assert stirling1(4, 1) == -6
+    assert stirling_poly_row(3)[2] == -3
+    assert stirling_poly_row(4)[1] == -6
     for j in (0, 1, 5, 9):
-        assert stirling1(j, j) == 1
-    with pytest.raises(ValueError):
-        stirling1(3, 4)
-
-
-def test_stirling_against_polynomial_expansion():
-    for j in range(13):
-        row = stirling_poly_row(j)
-        for k in range(j + 1):
-            assert stirling1(j, k) == row[k], (j, k)
+        assert stirling_poly_row(j)[j] == 1
 
 
 def test_stirling_row_invariants():
     for j in range(2, 15):
-        assert sum(stirling1(j, k) for k in range(j + 1)) == 0, j
-        assert sum(abs(stirling1(j, k)) for k in range(j + 1)) == factorial(j), j
+        row = stirling_poly_row(j)
+        assert sum(row) == 0, j
+        assert sum(map(abs, row)) == factorial(j), j
 
 
 def test_b_coeff_values():
@@ -73,7 +67,7 @@ def test_b_coeff_truncation_error_depth3():
         x = Fraction(F, a)
         for k in (0, 1, 2):
             exact = sum(
-                x ** j * bernoulli(j) / factorial(j) * stirling1(j, k)
+                x ** j * bernoulli(j) / factorial(j) * stirling_poly_row(j)[k]
                 for j in range(k, 13)
             )
             assert vp(exact - b_coeff(a, k, F, p), p) >= 3, (a, F, p, k)
@@ -188,16 +182,16 @@ def test_plain_bernoulli_reading_fails():
 def test_lp_interp_value_quadratic():
     split = split_character(14, 7)
     # psi(7) = -1, B_{3,psi} = 9: -(1 + 49) * 9/3 = -150
-    assert lp_interp_value(3, 7, split) == -150
+    assert lp_interp_value(3, split) == -150
     with pytest.raises(ValueError):
-        lp_interp_value(4, 7, split)  # wrong residue class mod p-1
+        lp_interp_value(4, split)  # wrong residue class mod p-1
 
 
 def test_lp_interp_value_principal():
-    assert lp_interp_value(4, 5) == Fraction(-31, 30)
-    assert lp_interp_value(6, 7) == -(1 - Fraction(7) ** 5) * bernoulli(6) / 6
+    assert lp_principal_value(4, 5) == Fraction(-31, 30)
+    assert lp_principal_value(6, 7) == -(1 - Fraction(7) ** 5) * bernoulli(6) / 6
     with pytest.raises(ValueError):
-        lp_interp_value(3, 5)
+        lp_principal_value(3, 5)
 
 
 def test_euler_factor_trivial_mod_p2_for_p_gt_5():
@@ -247,8 +241,8 @@ def test_series_congruences_quadratic():
         split = split_character(d, p)
         r = split.r
         m, n = r + (p - 1), r
-        vm = lp_interp_value(m, p, split)
-        vn = lp_interp_value(n, p, split)
+        vm = lp_interp_value(m, split)
+        vn = lp_interp_value(n, split)
         assert vp(vm - vn, p) >= 1, (d, p)
         a1 = a1_closed_quadratic(split)
         assert vp(vm - vn - a1 * (m - n), p) >= 2, (d, p)

@@ -3,15 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadcong.padic import (
-    INF,
-    congruent,
-    fermat_quotient,
-    is_p_integral,
-    log_surrogate,
-    unit_log_series,
-    vp,
-)
+from quadcong.padic import INF, difference_verdict, fermat_quotient, unit_log_series, vp
+
+from lemmas import log_surrogate
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -50,16 +44,16 @@ def test_vp_multiplicative_and_ultrametric(x, y, p):
 
 
 def test_is_p_integral():
-    assert is_p_integral(Fraction(-1, 12), 5)
-    assert not is_p_integral(Fraction(1, 5), 5)
-    assert is_p_integral(0, 3)
+    assert vp(Fraction(-1, 12), 5) >= 0
+    assert vp(Fraction(1, 5), 5) < 0
+    assert vp(0, 3) >= 0
 
 
 def test_congruent_examples():
     # 2 + 1/12 = 25/12 has valuation 2 at p = 5
-    assert congruent(2, Fraction(-1, 12), 5, 1)
-    assert congruent(2, Fraction(-1, 12), 5, 2)
-    assert not congruent(1, 0, 5, 1)
+    assert difference_verdict(2, Fraction(-1, 12), 5, 1)[1]
+    assert difference_verdict(2, Fraction(-1, 12), 5, 2)[1]
+    assert not difference_verdict(1, 0, 5, 1)[1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -71,13 +65,13 @@ def test_congruent_examples():
     k=st.sampled_from((1, 2, 3)),
 )
 def test_congruent_equivalence_and_depth(x, y, z, p, k):
-    assert congruent(x, x, p, k)
-    if congruent(x, y, p, k):
-        assert congruent(y, x, p, k)
-        if congruent(y, z, p, k):
-            assert congruent(x, z, p, k)
-    if k > 1 and congruent(x, y, p, k):
-        assert congruent(x, y, p, k - 1)
+    assert difference_verdict(x, x, p, k)[1]
+    if difference_verdict(x, y, p, k)[1]:
+        assert difference_verdict(y, x, p, k)[1]
+        if difference_verdict(y, z, p, k)[1]:
+            assert difference_verdict(x, z, p, k)[1]
+    if k > 1 and difference_verdict(x, y, p, k)[1]:
+        assert difference_verdict(x, y, p, k - 1)[1]
 
 
 def test_fermat_quotient_examples():

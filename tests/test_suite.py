@@ -228,7 +228,7 @@ def test_soundness_link_two_evaluation_paths():
         split = split_character(d, p)
         assert rep.lhs == 2 * lp1_via_class_number(inv, p)
         assert rep.rhs == 2 * (
-            lp_interp_value(split.r, p, split) - split.r * a1_closed_quadratic(split)
+            lp_interp_value(split.r, split) - split.r * a1_closed_quadratic(split)
         )
         assert rep.holds == (vp(rep.lhs - rep.rhs, p) >= rep.depth)
 
@@ -243,7 +243,7 @@ def test_integration_identity_small_grid():
             inv = field_invariants(d)
             split = split_character(d, p)
             lhs = lp1_via_class_number(inv, p)
-            rhs = lp_interp_value(split.r, p, split) - split.r * a1_closed_quadratic(split)
+            rhs = lp_interp_value(split.r, split) - split.r * a1_closed_quadratic(split)
             assert vp(lhs - rhs, p) >= 2, (d, p)
 
 

@@ -13,10 +13,11 @@ chi over half the range, 1 <= a < f/2, by the reflection
 B_n(1-x) = (-1)^n B_n(x); it also makes B_{n,chi} exactly 0 when
 chi(-1) != (-1)^n.  Indices asked for together share one walk over the
 powers, and the terms are combined over one common denominator.  The
-depth-2 checks ask for r and 3r, which share a parity, and a scan's
-kernel phase (suite.scan) asks once per character for every r and 3r
-of its grid, so a scan walks each character once.  chi is tabulated on
-the process-wide smallest-prime-factor sieve and evaluated only at primes.
+depth-2 checks ask for r and 3r, which share a parity.  Phase 1 of a
+scan (suite.scan) asks once per character for every r and 3r of its
+grid, in this process or in forked workers whose entries it merges, so
+a scan walks each character once.  chi is tabulated on the process-wide
+smallest-prime-factor sieve and evaluated only at primes.
 """
 from __future__ import annotations
 

@@ -7,6 +7,7 @@ discriminant 1 (conductor 1, value 1 everywhere).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .primes import is_prime, is_squarefree, smallest_prime_factors
 
@@ -141,10 +142,12 @@ class CharacterSplit:
         return (self.p - 1) // 2
 
 
+@cache
 def split_character(d: int, p: int) -> CharacterSplit:
     """Split the character of Q(sqrt(d)) at the prime p | d.
 
     Requires d squarefree, d = p*m with p > 3 prime and p coprime to m.
+    Memoized by (d, p) for the life of the process.
     """
     if p <= 3 or not is_prime(p):
         raise ValueError(f"split needs a prime p > 3, got {p}")

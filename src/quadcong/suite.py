@@ -21,9 +21,10 @@ printed variants preserved in the regression tests:
 """
 from __future__ import annotations
 
-from contextlib import ExitStack, suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from multiprocessing import get_context
 from typing import Callable
 
@@ -293,19 +294,14 @@ def run_instance(instance: tuple) -> CongruenceReport:
 
 
 def _worker(instance: tuple):
-    """(report, cache entries the instance inserted, v_p(u) or None, error).
-
-    v_p(u) is read for every row that has a d, from the unit this process
-    already memoized for the row.
-    """
+    """(report, v_p(u) or None, error); v_p(u) is read for every row that has
+    a d, from the unit this process already memoized for the row."""
     try:
-        mark = len(DEFAULT_CACHE)
         report = run_instance(instance)
         _, d, p, _ = instance
-        v = None if d is None else vp_u(d, p)
-        return report, DEFAULT_CACHE.entries_since(mark), v, None
+        return report, None if d is None else vp_u(d, p), None
     except Exception as exc:  # aggregated, never aborts the scan
-        return None, [], None, f"{instance}: {exc}"
+        return None, None, f"{instance}: {exc}"
 
 
 def _kernel_jobs(instances: list[tuple]) -> list[tuple[int, list[int]]]:
@@ -326,14 +322,33 @@ def _kernel_jobs(instances: list[tuple]) -> list[tuple[int, list[int]]]:
                   key=lambda job: abs(job[0]) * job[1][-1], reverse=True)
 
 
-def _kernel_worker(job: tuple[int, list[int]]) -> list[tuple[int, int | None, Fraction]]:
-    """Phase 1 for one character: B_{n,psi} for its indices, handing back the
-    cache entries this inserted.  A failure is left for the rows to report."""
+def _kernel_worker(job: tuple[int, list[int]]) -> None:
+    """Phase 1 for one character: B_{n,psi} for its indices; rows report failures."""
     disc, ns = job
-    mark = len(DEFAULT_CACHE)
     with suppress(Exception):
         gen_bernoulli_many(ns, QuadChar(disc))
-    return DEFAULT_CACHE.entries_since(mark)
+
+
+def _tracked(work: Callable, item):
+    """work(item), and the default-cache entries the call inserted."""
+    mark = len(DEFAULT_CACHE)
+    return work(item), DEFAULT_CACHE.entries_since(mark)
+
+
+def _fan_out(work: Callable, items: list, jobs: int) -> list:
+    """[work(item) for item in items], merging each call's cache entries as it
+    returns.  With jobs > 1 and several items, `jobs` forked workers, each a
+    copy of this process, take the calls in order, four chunks per worker."""
+    tracked = partial(_tracked, work)
+    pool = get_context("fork").Pool(processes=jobs) if jobs > 1 and len(items) > 1 else None
+    results = []
+    with pool or nullcontext():
+        outcomes = (map(tracked, items) if pool is None else
+                    pool.imap(tracked, items, chunksize=max(1, len(items) // (4 * jobs))))
+        for result, entries in outcomes:
+            DEFAULT_CACHE.merge(entries)
+            results.append(result)
+    return results
 
 
 @dataclass
@@ -350,41 +365,22 @@ def scan(cfg: ScanConfig) -> ScanResult:
     one gen_bernoulli_many call per character psi of the grid, for the
     union of r and 3r over its rows, so each psi costs one kernel walk
     (none on a warm cache).  Phase 2 runs the rows, whose B_{n,psi} reads
-    are then cache hits.  With jobs > 1 each phase is farmed to forked
-    workers: phase 1 by character, largest first, phase 2 by row.  Each
-    worker starts from a copy of the default cache and hands back exactly
-    the entries it inserted; the parent merges them, so they can be
-    persisted and so the phase-2 workers, forked after the phase-1 merge,
-    inherit every B_{n,psi}.  Serially the entries are already in place.
+    and splits are then hits.  Both phases go through _fan_out, phase 1 by
+    character, largest first: its entries are merged before phase 2 forks
+    its workers, which inherit every B_{n,psi}.
     """
     instances = build_instances(cfg)
-    result = ScanResult()
-    forked = get_context("fork") if cfg.jobs > 1 and len(instances) > 1 else None
     if lookup(cfg.statement).takes_d:
-        jobs = _kernel_jobs(instances)
-        if forked is None or len(jobs) <= 1:
-            for job in jobs:
-                _kernel_worker(job)
-        else:
-            with forked.Pool(processes=cfg.jobs) as pool:
-                for entries in pool.imap_unordered(_kernel_worker, jobs):
-                    DEFAULT_CACHE.merge(entries)
-    with ExitStack() as stack:
-        if forked is None:
-            outcomes = map(_worker, instances)
-        else:
-            pool = stack.enter_context(forked.Pool(processes=cfg.jobs))
-            outcomes = pool.imap(_worker, instances, chunksize=4)
-        for report, entries, v, err in outcomes:
-            if err is not None:
-                result.errors.append(err)
-                continue
-            result.reports.append(report)
-            DEFAULT_CACHE.merge(entries)
-            # weak-divisibility alert: d^kappa | u never expected; surface any
-            # p-power divisibility of u at or beyond the configured kappa
-            if v is not None and v >= cfg.kappa:
-                result.alerts.append(
-                    f"v_{report.p}(u) = {v} >= kappa = {cfg.kappa} at d = {report.d}"
-                )
+        _fan_out(_kernel_worker, _kernel_jobs(instances), cfg.jobs)
+    result = ScanResult()
+    for report, v, err in _fan_out(_worker, instances, cfg.jobs):
+        if err is not None:
+            result.errors.append(err)
+            continue
+        result.reports.append(report)
+        # weak-divisibility alert (d^kappa | u never expected): v_p(u) >= kappa
+        if v is not None and v >= cfg.kappa:
+            result.alerts.append(
+                f"v_{report.p}(u) = {v} >= kappa = {cfg.kappa} at d = {report.d}"
+            )
     return result

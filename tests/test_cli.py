@@ -198,17 +198,18 @@ def test_scan_kappa_alert_at_d_721(capsys, statement, jobs):
 
 
 def test_scan_without_fork_exits_2(capsys, monkeypatch):
-    """Where the fork start method is unavailable, --jobs N is an input error."""
+    """Where the fork start method is unavailable, --jobs N is an input error,
+    also where the first fan-out is the rows' (lehmer2 has no phase 1)."""
     import quadcong.suite as suite_mod
 
     def no_fork(method):
         raise ValueError(f"cannot find context for {method!r}")
 
     monkeypatch.setattr(suite_mod, "get_context", no_fork)
-    code, out, err = run_cli(capsys, "scan", "thm1", "--d-max", "60", "--p-max", "11",
-                             "--jobs", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    for argv in (("thm1", "--d-max", "60", "--p-max", "11"), ("lehmer2", "--p-max", "11")):
+        code, out, err = run_cli(capsys, "scan", *argv, "--jobs", "2")
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_table1_mandatory_row(capsys):
@@ -597,18 +598,21 @@ def test_table1_manifest_counts_no_skipped_row_as_an_error(capsys):
 
 def test_serial_and_parallel_scans_persist_the_same_cache(tmp_path):
     """--jobs 1 and --jobs 2, each from an empty cache in a fresh interpreter,
-    write the same report bytes and the same cache file bytes."""
+    write the same report bytes and the same cache file bytes.  The lehmer2
+    scan's plain B_n reach the parent only through the rows' merge."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    written = []
-    for jobs in ("1", "2"):
-        cache_dir = tmp_path / f"jobs{jobs}"
-        run = subprocess.run(
-            [sys.executable, "-m", "quadcong.cli", "scan", "thm1", "--d-max", "150",
-             "--p-max", "23", "--jobs", jobs, "--cache-dir", str(cache_dir)],
-            env=env, capture_output=True, check=True,
-        )
-        written.append((run.stdout, (cache_dir / CACHE_FILE).read_bytes()))
-    assert written[0][0] and written[0] == written[1]
+    for argv in (("thm1", "--d-max", "150", "--p-max", "23"),
+                 ("lehmer2", "--p-max", "60", "--k-max", "3")):
+        written = []
+        for jobs in ("1", "2"):
+            cache_dir = tmp_path / f"{argv[0]}-jobs{jobs}"
+            run = subprocess.run(
+                [sys.executable, "-m", "quadcong.cli", "scan", *argv,
+                 "--jobs", jobs, "--cache-dir", str(cache_dir)],
+                env=env, capture_output=True, check=True,
+            )
+            written.append((run.stdout, (cache_dir / CACHE_FILE).read_bytes()))
+        assert written[0][0] and written[0] == written[1], argv
 
 
 @pytest.mark.parametrize("argv", [

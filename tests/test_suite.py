@@ -38,10 +38,10 @@ _row_worker = suite_module._worker
 def _worker_refusing_character_entries(instance):
     """The row worker, turning a B_{n,chi} the row had to compute into an error:
     after phase 1 every character value a row reads is a cache hit."""
-    report, entries, v, err = _row_worker(instance)
+    outcome, entries = suite_module._tracked(_row_worker, instance)
     if any(disc is not None for _, disc, _ in entries):
-        return None, [], None, f"{instance}: the row computed a character entry"
-    return report, entries, v, err
+        return None, None, f"{instance}: the row computed a character entry"
+    return outcome
 
 
 def _install_fresh_cache(monkeypatch) -> tuple[BernoulliCache, list]:
@@ -301,15 +301,17 @@ def test_scan_computes_each_field_invariant_once_per_d():
 
 
 def test_scan_serial_and_parallel_agree():
-    cfg1 = ScanConfig(statement=THM1, d_max=120, p_max=19, jobs=1)
-    cfg2 = ScanConfig(statement=THM1, d_max=120, p_max=19, jobs=2)
-    r1 = scan(cfg1)
-    r2 = scan(cfg2)
-    assert not r1.errors and not r2.errors
-    rows1 = [rep.to_json_line() for rep in r1.reports]
-    rows2 = [rep.to_json_line() for rep in r2.reports]
-    assert rows1 == rows2
+    """Rows come back in order across uneven chunks of several items: 87 rows
+    in chunks of 10 (jobs 2) or 7 (jobs 3), 35 characters in chunks of 4 or 2."""
+    cfg = ScanConfig(statement=THM1, d_max=250, p_max=40)
+    r1 = scan(cfg)
+    assert len(r1.reports) == 87 and not r1.errors
     assert all(rep.holds for rep in r1.reports)
+    rows1 = [rep.to_json_line() for rep in r1.reports]
+    for jobs in (2, 3):
+        r2 = scan(replace(cfg, jobs=jobs))
+        assert not r2.errors
+        assert [rep.to_json_line() for rep in r2.reports] == rows1, jobs
 
 
 def test_parallel_scan_computes_no_unit_in_the_parent():
@@ -347,11 +349,22 @@ def test_worker_error_aggregation():
     """A failing instance inside a pool worker comes back as an error record."""
     from quadcong.suite import _worker
 
-    report, entries, v, err = _worker(("UNKNOWN", None, 7, None))
+    (report, v, err), entries = suite_module._tracked(_worker, ("UNKNOWN", None, 7, None))
     assert report is None and entries == [] and v is None
     assert err is not None and "UNKNOWN" in err
-    report, entries, v, err = _worker((AAC_CLASSICAL, None, 13, None))
+    report, v, err = _worker((AAC_CLASSICAL, None, 13, None))
     assert err is None and report.holds and v is None
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_splits_each_row_once(jobs):
+    """Phase 1 splits every row and the row's check reuses that split, so the
+    memo misses once per row, serially and in the parent of a forked scan."""
+    cfg = ScanConfig(statement=THM1, d_max=300, p_max=50, jobs=jobs)
+    split_character.cache_clear()
+    result = scan(cfg)
+    assert result.reports and not result.errors
+    assert split_character.cache_info().misses == len(build_instances(cfg))
 
 
 def test_registry_grids_match_check_guards():

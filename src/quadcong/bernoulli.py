@@ -12,12 +12,14 @@ arXiv:1108.0286) in integers.  B_{n,chi} come from integer power sums of
 chi over half the range, 1 <= a < f/2, by the reflection
 B_n(1-x) = (-1)^n B_n(x); it also makes B_{n,chi} exactly 0 when
 chi(-1) != (-1)^n.  Indices asked for together share one walk over the
-powers, and the terms are combined over one common denominator.  The
-depth-2 checks ask for r and 3r, which share a parity.  Phase 1 of a
-scan (suite.scan) asks once per character for every r and 3r of its
-grid, in this process or in forked workers whose entries it merges, so
-a scan walks each character once.  chi is tabulated on the process-wide
-smallest-prime-factor sieve and evaluated only at primes.
+powers.  The terms of each index are added in integers, in Horner form in
+f^2, over a row of C(n,j) L B_j that depends on n alone: it is built once
+per index and shared by every character.  The depth-2 checks ask for r
+and 3r, which share a parity.  Phase 1 of a scan (suite.scan) asks once
+per character for every r and 3r of its grid, in this process or in
+forked workers whose entries it merges, so a scan walks each character
+once.  chi is tabulated on the process-wide smallest-prime-factor sieve
+and evaluated only at primes.
 """
 from __future__ import annotations
 
@@ -36,10 +38,13 @@ class BernoulliCache:
 
     Reads are lock-free; writes are serialized so threads can share one
     instance.  Scan workers are forked processes, each with its own copy.
-    Entries are never evicted.  Besides the values, the cache keeps the
-    last column of the tangent-number triangle that plain B_n come from,
-    so asking for a larger n extends it instead of starting over; `len`
-    counts cached values only.
+    Entries are never evicted.  Besides the values, the cache keeps two
+    kinds of scratch state, which are never stored, merged or returned as
+    entries: the last column of the tangent-number triangle that plain B_n
+    come from, so asking for a larger n extends it instead of starting
+    over, and the row of C(n,j) L B_j of each index n the B_{n,chi} kernel
+    has used (see _binomial_row), so later characters reuse it.  `len`,
+    `entries` and `entries_since` count and list cached values only.
     """
 
     def __init__(self) -> None:
@@ -48,7 +53,7 @@ class BernoulliCache:
             (1, None): Fraction(-1, 2),
         }
         self._tangent: list[int] = []
-        self._brow: tuple[int, list[int]] = (1, [])
+        self._rows: dict[int, tuple[int, list[int], int]] = {}
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -140,26 +145,25 @@ class BernoulliCache:
                         self._values[(n, disc)] = v
         return [self._values[(n, disc)] for n in ns]
 
-    def _scaled_bernoulli_row(self, top: int) -> tuple[int, list[int]]:
-        """(L, [L B_j for j <= top or more]) with L a common denominator of the B_j.
+    def _binomial_row(self, n: int) -> tuple[int, list[int], int]:
+        """(L, [C(n,j) L B_j for even j from n - n % 2 down to 0], n L B_1)
+        with L = lcm(den B_j for j <= n).
 
-        Kept between calls and grown by rescaling the old row, so the
-        plain values and their lcm are read once per index, not once per
-        character.  Every B_j up to top is asked for, so a request leaves
-        the same plain entries in the cache as the term-by-term sum it
-        replaces, whatever chi's parity.
+        The row depends on n alone, not on the character, so it is built
+        once per index and every later character and call reuses it.  Its
+        own L keeps it valid whatever larger index is asked for later.
         """
-        L, row = self._brow
-        if top < len(row):
-            return L, row
-        with self._lock:
-            L, row = self._brow
-            new = [self.bernoulli(j) for j in range(len(row), top + 1)]
-            L2 = lcm(L, *(b.denominator for b in new))
-            row = [x * (L2 // L) for x in row]
-            row += [b.numerator * (L2 // b.denominator) for b in new]
-            self._brow = (L2, row)
-            return L2, row
+        got = self._rows.get(n)
+        if got is None:
+            with self._lock:
+                got = self._rows.get(n)
+                if got is None:
+                    bs = [self.bernoulli(j) for j in range(n + 1)]
+                    L = lcm(*(b.denominator for b in bs))
+                    even = [comb(n, j) * bs[j].numerator * (L // bs[j].denominator)
+                            for j in range(n - n % 2, -1, -2)]
+                    got = self._rows[n] = (L, even, -(n * L // 2))  # B_1 = -1/2; L even if n > 0
+        return got
 
     def _gen_bernoulli_compute(self, ns: list[int], chi: QuadChar) -> list[Fraction]:
         # Finite Bernoulli-polynomial formula f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f).
@@ -172,14 +176,23 @@ class BernoulliCache:
         # Only j in {0, 1} and even j have B_j != 0, so T_k is needed only for
         # k of n's parity and k = n - 1.  The indices of chi's parity share
         # one walk over k up to the largest, each step one product and one sum
-        # over the a with chi(a) != 0; the terms are added in integers over
-        # L = lcm(den B_j) with one division per index at the end.
-        f = chi.conductor
-        L, brow = self._scaled_bernoulli_row(max(ns))
-        live = {n for n in ns if chi.parity == (-1) ** n}
-        if not live:
+        # over the a with chi(a) != 0.  The even-j part is a polynomial in
+        # f^2, added in Horner form over the character-free row of each index
+        # (_binomial_row: E_n = [C(n,j) L B_j, j even, high to low], L its
+        # common denominator), k = n - j running upward:
+        #   acc = acc * f^2 + E_n[i] T_k,
+        # then the j = 1 term n L B_1 f T_{n-1}, and one division per index.
+        # Building a row asks for every B_j up to its index, and the loop
+        # asks for the rest up to the largest index, so a request leaves the
+        # same plain entries in the cache, in ascending order, whatever chi's
+        # parity.
+        rows = {n: self._binomial_row(n) for n in ns if chi.parity == (-1) ** n}
+        for j in range(max(rows, default=-1) + 1, max(ns) + 1):
+            self.bernoulli(j)
+        if not rows:
             return [Fraction(0)] * len(ns)
-        top = max(live)
+        f = chi.conductor
+        top = max(rows)
         vals = char_values(chi, (f - 1) // 2)
         avals = [a for a in range(1, len(vals)) if vals[a]]
         squares = [a * a for a in avals]
@@ -187,20 +200,20 @@ class BernoulliCache:
         T = {}
         for k in range(top % 2, top + 1, 2):
             T[k] = sum(terms)
-            if k in live and k:
+            if k in rows and k:
                 T[k - 1] = sum(map(floordiv, terms, avals))
             if k < top:
                 terms = list(map(mul, terms, squares))
-        coef, fj = {}, 1  # coef[j] = L B_j f^j for the j with B_j != 0
-        for j in range(top + 1):
-            if brow[j]:
-                coef[j] = brow[j] * fj
-            fj *= f
-        return [
-            Fraction(2 * sum(comb(n, j) * c * T[n - j] for j, c in coef.items() if j <= n), L * f)
-            if n in live else Fraction(0)
-            for n in ns
-        ]
+        f2 = f * f
+        out = {}
+        for n, (L, even, c1) in rows.items():
+            acc = 0
+            for e, k in zip(even, range(n % 2, n + 1, 2)):
+                acc = acc * f2 + e * T[k]
+            if n:
+                acc += c1 * f * T[n - 1]
+            out[n] = Fraction(2 * acc, L * f)
+        return [out.get(n, Fraction(0)) for n in ns]
 
 
 DEFAULT_CACHE = BernoulliCache()

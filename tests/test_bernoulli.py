@@ -535,3 +535,32 @@ def test_threads_share_the_sieve_and_the_scaled_row(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert not errors
+
+
+def test_index_rows_stay_exact_when_a_new_prime_enters_the_denominator():
+    """A row built before a larger index brings a new prime into the common
+    denominator of the B_j (B_10 = 5/66 brings 11) still serves a later
+    character, and the larger index gets a row of its own."""
+    cache = BernoulliCache()
+    assert cache.gen_bernoulli_many((3,), CHI3) == [gen_bernoulli_series(3, 3, CHI3)]
+    assert cache.gen_bernoulli_many((10,), CHI5) == [gen_bernoulli_series(10, 5, CHI5)]
+    assert cache._rows[3][0] % 11 != 0 and cache._rows[10][0] % 11 == 0
+    assert cache.gen_bernoulli_many((3,), CHI8N) == [gen_bernoulli_series(3, 8, CHI8N)]
+    assert cache.gen_bernoulli_many((3, 10), CHI3) == [
+        gen_bernoulli_series(3, 3, CHI3), Fraction(0)]
+
+
+def test_horner_kernel_against_series_oracle_on_a_conductor_grid():
+    """One call per fundamental discriminant |D| <= 60 on indices of both
+    parities, over odd conductors and conductors with 4 | f and 8 | f; a cache
+    whose index rows other characters built gives what a fresh cache gives."""
+    ns = (0, 1, 2, 3, 5, 8, 9, 12)
+    chis = [QuadChar(D) for D in range(-60, 61) if D != 1 and is_fundamental_discriminant(D)]
+    assert {chi.conductor % 8 for chi in chis} >= {0, 4} and any(chi.conductor % 2 for chi in chis)
+    assert {chi.parity for chi in chis} == {1, -1}
+    shared = BernoulliCache()
+    for chi in chis:
+        got = shared.gen_bernoulli_many(ns, chi)
+        assert got == [gen_bernoulli_series(n, chi.conductor, chi) for n in ns], chi.discriminant
+        assert got == BernoulliCache().gen_bernoulli_many(ns, chi), chi.discriminant
+    assert set(shared._rows) == set(ns)

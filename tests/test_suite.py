@@ -5,7 +5,8 @@ from importlib import import_module
 import pytest
 
 from quadcong.bernoulli import BernoulliCache, bernoulli
-from quadcong.characters import split_character
+from quadcong.characters import QuadChar, split_character
+from quadcong.cli import store_cache
 from quadcong.lseries import a1_closed_quadratic, lp1_via_class_number, lp_interp_value, wilson_quotient
 from quadcong.padic import vp
 from quadcong.quadfield import class_number, field_invariants, fundamental_unit, is_squarefree, vp_u
@@ -29,6 +30,8 @@ from quadcong.suite import (
     run_instance,
     scan,
 )
+
+from oracles import gen_bernoulli_series
 
 bernoulli_module = import_module("quadcong.bernoulli")  # `from quadcong import bernoulli` is the function
 suite_module = import_module("quadcong.suite")
@@ -365,6 +368,56 @@ def test_scan_splits_each_row_once(jobs):
     result = scan(cfg)
     assert result.reports and not result.errors
     assert split_character.cache_info().misses == len(build_instances(cfg))
+
+
+class _RecordingDict(dict):
+    """A dict that records the keys assigned to it, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = []
+
+    def __setitem__(self, key, value):
+        self.written.append(key)
+        super().__setitem__(key, value)
+
+
+def test_kernel_index_rows_stay_out_of_the_cache_and_are_built_once(monkeypatch, tmp_path):
+    """The kernel's per-index rows are scratch: after phase 1 the cache holds,
+    returns per call and stores exactly what a kernel without them (the series
+    oracle, asking for every B_j up to the top index first) leaves.  Each
+    live index builds its row once, though the first job does not hold the
+    top index, and a second scan builds none."""
+    cfg = ScanConfig(statement=THM1, d_max=120, p_max=23)
+    jobs = suite_module._kernel_jobs(build_instances(cfg))
+    assert jobs[0][1][-1] < max(ns[-1] for _, ns in jobs)
+
+    def phase_one(cache):
+        monkeypatch.setattr(bernoulli_module, "DEFAULT_CACHE", cache)
+        monkeypatch.setattr(suite_module, "DEFAULT_CACHE", cache)
+        returned = [suite_module._tracked(suite_module._kernel_worker, job)[1] for job in jobs]
+        path = store_cache(str(tmp_path / str(id(cache))), cache)
+        with open(path, "rb") as fh:
+            return len(cache), cache.entries(), returned, fh.read()
+
+    reference = BernoulliCache()
+
+    def series_kernel(ns, chi):
+        for j in range(max(ns) + 1):
+            reference.bernoulli(j)
+        return [gen_bernoulli_series(n, chi.conductor, chi) for n in ns]
+
+    reference._gen_bernoulli_compute = series_kernel
+    fresh = BernoulliCache()
+    fresh._rows = _RecordingDict()
+    assert phase_one(fresh) == phase_one(reference)
+    live = {n for disc, ns in jobs for n in ns if QuadChar(disc).parity == (-1) ** n}
+    assert sorted(fresh._rows.written) == sorted(live)
+    monkeypatch.setattr(bernoulli_module, "DEFAULT_CACHE", fresh)
+    monkeypatch.setattr(suite_module, "DEFAULT_CACHE", fresh)
+    result = scan(cfg)
+    assert result.reports and not result.errors
+    assert sorted(fresh._rows.written) == sorted(live)
 
 
 def test_registry_grids_match_check_guards():

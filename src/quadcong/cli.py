@@ -146,16 +146,17 @@ def store_cache(cache_dir: str, cache: BernoulliCache | None = None) -> str:
         {"n": n, "disc": disc, "num": str(v.numerator), "den": str(v.denominator)}
         for n, disc, v in c.entries()
     ]
-    payload = {"version": CACHE_VERSION, "entries": entries}
     path = os.path.join(cache_dir, CACHE_FILE)
     tmp = path + ".tmp"
     try:
         os.makedirs(cache_dir, exist_ok=True)
-        # written aside and renamed over the old file, so an interrupted
-        # store leaves the previous cache whole
+        # the C encoder takes the entries in batches, so no whole-file string is
+        # held; written aside and renamed, an interrupted store keeps the old file
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write('{"entries": [')
+            for i in range(0, len(entries), 256):
+                fh.write((", " if i else "") + json.dumps(entries[i:i + 256], sort_keys=True)[1:-1])
+            fh.write(f'], "version": {CACHE_VERSION}}}\n')
         os.replace(tmp, path)
     except OSError as exc:
         with suppress(OSError):
@@ -300,7 +301,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             "p": p,
             "vp_u": v_got,
             "vp_u_expected": vpu_ref,
-            "u_bits": inv.u_bit_length,
+            "u_bits": inv.u.bit_length(),
             "cf_period": inv.cf_period,
             "match": ok,
         }, sort_keys=True))

@@ -114,14 +114,8 @@ def vp_u(d: int, p: int) -> int:
 
 
 # A form a x^2 + b x y + c y^2 of discriminant D = b^2 - 4ac > 0 is the
-# tuple (a, b, c); it is reduced when 0 < b < sqrt D and (a, b) lies in
-# the reduction window.
-
-
-def _in_window(a: int, b: int, D: int) -> bool:
-    """The reduction window (2|a| + b)^2 > D > (2|a| - b)^2."""
-    ta = 2 * abs(a)
-    return (ta + b) ** 2 > D > (ta - b) ** 2
+# tuple (a, b, c).  D is never a square here, and the form is reduced when
+# 0 < b < sqrt D and (2|a| - b)^2 < D < (2|a| + b)^2.
 
 
 def _reduction_step(form: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
@@ -135,20 +129,21 @@ def _reduction_step(form: tuple[int, int, int], D: int, s: int) -> tuple[int, in
 def _reduced_forms(D: int) -> set[tuple[int, int, int]]:
     """All reduced indefinite forms of discriminant D, via the b-scan.
 
-    For every admissible b the middle coefficient pins a*c = (b^2 - D)/4;
-    the divisors of that product lying in the reduction window give the
-    forms.  The products are factored all at once by a root sieve over b,
-    at every size of D.
+    For every admissible b the middle coefficient pins a*c = (b^2 - D)/4.
+    With s = isqrt(D), a divisor a > 0 of that product with 2a <= s + b
+    always has (2a - b)^2 < D, so it gives the reduced forms (a, b, c) and
+    (-a, b, -c) exactly when 2a + b > s; larger divisors are never built.
+    The products are factored all at once by a root sieve over b, at every
+    size of D, and each factor map is dropped once its forms are built.
     """
     s = isqrt(D)
-    bstart = 2 if D % 4 == 0 else 1
-    fac_of = _sieve_factored_bscan(D, list(range(bstart, s + 1, 2)))
+    fac_of = _sieve_factored_bscan(D, list(range(2 - D % 2, s + 1, 2)))  # b = D mod 2
     forms: set[tuple[int, int, int]] = set()
-    for b, fac in fac_of.items():
+    while fac_of:
+        b, fac = fac_of.popitem()
         N = (D - b * b) // 4
-        # D > (2a - b)^2 needs 2a <= s + b, so larger divisors are never built
         for a in divisors(fac, (s + b) // 2):
-            if _in_window(a, b, D):
+            if 2 * a + b > s:
                 c = -(N // a)
                 forms.add((a, b, c))
                 forms.add((-a, b, -c))
@@ -206,33 +201,32 @@ class ClassNumber(NamedTuple):
 def class_number(d: int) -> ClassNumber:
     """(h, h+) by partitioning the reduced forms of disc(Q(sqrt d)) into cycles.
 
-    h+ is the number of reduction cycles; h = h+ when the fundamental unit
-    has norm -1 and h+/2 otherwise.  The norm is read off the same cycles
+    Each reduction cycle is walked once, the principal cycle of (1, b0, c0)
+    first, removing its forms from one shrinking set; h+ counts the cycles,
+    and a step onto a form not in the set raises.  h = h+ when the unit has
+    norm -1 and h+/2 otherwise.  The norm is read off the same cycles
     without computing the unit: N(eps) = -1 exactly when the principal
-    form (1, b0, c0) and its negative (-1, b0, -c0) share a cycle.
-    Memoized by d for the life of the process.
+    cycle also removed (-1, b0, -c0).  Memoized by d for the life of the
+    process.
     """
-    delta, D = invariants_shell(d)
+    _delta, D = invariants_shell(d)
     s = isqrt(D)
     forms = _reduced_forms(D)
-    cycle_of: dict[tuple[int, int, int], int] = {}
-    cycles = 0
-    for f in forms:
-        if f in cycle_of:
-            continue
-        cycles += 1
-        g = f
-        while True:
-            cycle_of[g] = cycles
-            g = _reduction_step(g, D, s)
-            if g == f:
-                break
-    if cycle_of.keys() != forms:
-        raise AssertionError(f"reduction cycles do not partition the reduced forms for d = {d}")
-    h_plus = cycles
     b0 = s if (s - D) % 2 == 0 else s - 1
     c0 = (b0 * b0 - D) // 4
-    if cycle_of[(1, b0, c0)] == cycle_of[(-1, b0, -c0)]:
+    f, h_plus, norm = (1, b0, c0), 0, 1
+    while f is not None:
+        h_plus += 1
+        g = f
+        while g in forms:
+            forms.remove(g)
+            g = _reduction_step(g, D, s)
+        if g != f:
+            raise AssertionError(f"reduction cycles do not partition the reduced forms for d = {d}")
+        if h_plus == 1 and (-1, b0, -c0) not in forms:
+            norm = -1
+        f = next(iter(forms), None)
+    if norm == -1:
         return ClassNumber(h=h_plus, h_plus=h_plus)
     if h_plus % 2:
         raise AssertionError(f"narrow class number {h_plus} should be even when N(eps) = +1")
@@ -245,29 +239,20 @@ class FieldInvariants:
 
     d: int
     delta: int
-    D: int
     t: int
     u: int
-    unit_norm: int
     h: int
-    h_plus: int
     cf_period: int
-
-    @property
-    def u_bit_length(self) -> int:
-        return self.u.bit_length()
 
 
 def field_invariants(d: int) -> FieldInvariants:
     """The invariants of Q(sqrt d).
 
-    The read path of every check that needs the unit or the class number;
-    both are memoized by d, so a d seen before costs no recomputation.
+    The read path of every check that needs the unit or the class number,
+    built from their two memoized results only.
     """
-    delta, D = invariants_shell(d)
     unit = fundamental_unit(d)
-    h, h_plus = class_number(d)
     return FieldInvariants(
-        d=d, delta=delta, D=D, t=unit.t, u=unit.u, unit_norm=unit.norm,
-        h=h, h_plus=h_plus, cf_period=unit.cf_period,
+        d=d, delta=unit.delta, t=unit.t, u=unit.u, h=class_number(d).h,
+        cf_period=unit.cf_period,
     )

@@ -390,7 +390,8 @@ def test_entry_valid_rejects_a_short_numerator_before_factoring_n():
 
 def test_store_cache_replaces_the_file_whole(tmp_path, monkeypatch):
     """A completed store writes the same bytes as before; a store that fails
-    mid-write leaves the previous file untouched and no temporary file."""
+    after opening its temporary file (in the encoder or in the rename) leaves
+    the previous file untouched and no temporary file."""
     cache = BernoulliCache()
     cache.bernoulli(12)
     path = Path(store_cache(str(tmp_path), cache))
@@ -401,15 +402,19 @@ def test_store_cache_replaces_the_file_whole(tmp_path, monkeypatch):
     bigger = BernoulliCache()
     bigger.bernoulli(40)
 
-    def dump_then_fail(obj, fh, **kwargs):
-        fh.write('{"entries": [')
+    def encode_fails(obj, **kwargs):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(json, "dump", dump_then_fail)
-    with pytest.raises(OSError, match=f"cache directory {tmp_path} is not writable"):
-        store_cache(str(tmp_path), bigger)
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == [CACHE_FILE]
+    def rename_fails(src, dst):
+        raise OSError(28, "No space left on device")
+
+    for module, name, failure in ((json, "dumps", encode_fails), (os, "replace", rename_fails)):
+        with monkeypatch.context() as m:
+            m.setattr(module, name, failure)
+            with pytest.raises(OSError, match=f"cache directory {tmp_path} is not writable"):
+                store_cache(str(tmp_path), bigger)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [CACHE_FILE]
 
 
 def test_config_file_defaults_flags_win(tmp_path, capsys):

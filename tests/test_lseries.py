@@ -228,8 +228,7 @@ def test_lp1_via_class_number():
 
 def test_lp1_flags_p_dividing_t():
     corrupt = FieldInvariants(
-        d=14, delta=2, D=56, t=7, u=4, unit_norm=1, h=1, h_plus=1,
-        cf_period=4,
+        d=14, delta=2, t=7, u=4, h=1, cf_period=4,
     )
     with pytest.raises(ArithmeticError):
         lp1_via_class_number(corrupt, 7)

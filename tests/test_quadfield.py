@@ -15,6 +15,7 @@ from quadcong.quadfield import (
     is_squarefree,
     vp_u,
 )
+from quadcong import quadfield
 from quadcong.primes import factorize
 
 from oracles import ideal_class_number, pell_min_solution, pell_solutions_upto
@@ -177,8 +178,8 @@ def test_vp_u():
 def test_field_invariants():
     inv = field_invariants(14)
     assert isinstance(inv, FieldInvariants)
-    assert (inv.delta, inv.D, inv.t, inv.u, inv.h) == (2, 56, 15, 4, 1)
-    assert inv.u_bit_length == 3
+    assert (inv.delta, inv.t, inv.u, inv.h) == (2, 15, 4, 1)
+    assert inv.u.bit_length() == 3
     with pytest.raises(ValueError):
         field_invariants(12)
 
@@ -189,6 +190,34 @@ def test_memoized_invariants_raise_on_every_call_for_bad_d():
             fundamental_unit(12)
         with pytest.raises(ValueError):
             class_number(12)
+
+
+def test_cycle_partition_check_raises(monkeypatch):
+    """A reduction step into another cycle is caught, not walked forever."""
+    d, D = 79, 316
+    assert class_number(d).h_plus >= 2
+    s = isqrt(D)
+    forms = _reduced_forms(D)
+    start = (1, 16, -15)
+    principal = {start}
+    g = _reduction_step(start, D, s)
+    while g != start:
+        principal.add(g)
+        g = _reduction_step(g, D, s)
+    target = min(forms - principal)
+    calls = 0
+
+    def step(form, D, s):
+        nonlocal calls
+        calls += 1
+        if calls > 10 * len(forms):
+            raise RuntimeError("reduction walk did not stop")
+        return target if form == start else _reduction_step(form, D, s)
+
+    monkeypatch.setattr(quadfield, "_reduction_step", step)
+    class_number.cache_clear()
+    with pytest.raises(AssertionError, match="do not partition"):
+        class_number(d)
 
 
 def test_reduced_forms_match_brute_force_enumeration():

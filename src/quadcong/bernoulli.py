@@ -16,17 +16,16 @@ powers.  The terms of each index are added in integers, in Horner form in
 f^2, over a row of C(n,j) L B_j that depends on n alone: it is built once
 per index and shared by every character.  The depth-2 checks ask for r
 and 3r, which share a parity.  Phase 1 of a scan (suite.scan) asks once
-per character for every r and 3r of its grid, in this process or in
-forked workers whose entries it merges, so a scan walks each character
-once.  chi is tabulated on the process-wide smallest-prime-factor sieve
-and evaluated only at primes.
+per non-principal character for every r and 3r of its grid, in this
+process or in forked workers that return the values for it to merge, so
+a scan walks each character once.  chi is tabulated on the process-wide
+smallest-prime-factor sieve and evaluated only at primes.
 """
 from __future__ import annotations
 
 import threading
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import islice
 from math import comb, lcm
 from operator import floordiv, mul
 
@@ -43,8 +42,8 @@ class BernoulliCache:
     entries: the last column of the tangent-number triangle that plain B_n
     come from, so asking for a larger n extends it instead of starting
     over, and the row of C(n,j) L B_j of each index n the B_{n,chi} kernel
-    has used (see _binomial_row), so later characters reuse it.  `len`,
-    `entries` and `entries_since` count and list cached values only.
+    has used (see _binomial_row), so later characters reuse it.  `len` and
+    `entries` count and list cached values only.
     """
 
     def __init__(self) -> None:
@@ -67,17 +66,6 @@ class BernoulliCache:
             return [(n, disc, v) for (n, disc), v in sorted(
                 self._values.items(), key=lambda kv: (kv[0][1] is not None, kv[0][1] or 0, kv[0][0])
             )]
-
-    def entries_since(self, mark: int) -> list[tuple[int, int | None, Fraction]]:
-        """The entries inserted after the cache held `mark` of them, oldest first.
-
-        Relies on two facts: entries are never evicted, and dicts keep
-        insertion order, so they are the newest len - mark items.  Reading
-        them from the reversed dict costs only their number.
-        """
-        with self._lock:
-            newest = islice(reversed(self._values.items()), len(self._values) - mark)
-            return [(n, disc, v) for (n, disc), v in reversed(list(newest))]
 
     def merge(self, entries) -> None:
         """Install the (n, disc, Fraction) triples whose key is not yet present."""
@@ -109,9 +97,9 @@ class BernoulliCache:
         # entry j takes, from (j-1)! through passes 2..j, so the last is T_j.
         # Column j + 1 needs only column j, so a larger n costs only the new
         # columns, and B_{2j} = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) reads no
-        # cached B_m: a wrong loaded value cannot spread.  Only absent keys
-        # are written, in ascending order, so merged or loaded values stay
-        # and a gap is filled.
+        # cached B_m: a wrong merged value cannot spread.  Only absent keys
+        # are written, in ascending order, so merged values stay and a gap
+        # is filled.
         col = self._tangent
         while 2 * len(col) < n:
             j = len(col) + 1

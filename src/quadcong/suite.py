@@ -21,12 +21,10 @@ printed variants preserved in the regression tests:
 """
 from __future__ import annotations
 
-from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
 from multiprocessing import get_context
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bernoulli import DEFAULT_CACHE, bernoulli, gen_bernoulli_many
 from .characters import CharacterSplit, QuadChar, split_character
@@ -305,8 +303,9 @@ def _worker(instance: tuple):
 
 
 def _kernel_jobs(instances: list[tuple]) -> list[tuple[int, list[int]]]:
-    """(psi discriminant, sorted r and 3r over its rows) for each character psi
-    of the (d, p) instances, largest conductor times top index first.
+    """(psi discriminant, sorted r and 3r over its rows) for each non-principal
+    character psi of the (d, p) instances, largest conductor times top index
+    first.  A principal psi has no job: its rows read plain B_n.
 
     psi(-1) = (-1)^r, so all indices of one psi share its parity and one
     kernel walk up to the largest serves them all.
@@ -317,38 +316,31 @@ def _kernel_jobs(instances: list[tuple]) -> list[tuple[int, list[int]]]:
             split = split_character(d, p)
         except Exception:  # the row raises again in phase 2 and lands in errors
             continue
-        wanted.setdefault(split.psi.discriminant, set()).update((split.r, 3 * split.r))
+        if not split.psi.is_principal:
+            wanted.setdefault(split.psi.discriminant, set()).update((split.r, 3 * split.r))
     return sorted(((disc, sorted(ns)) for disc, ns in wanted.items()),
                   key=lambda job: abs(job[0]) * job[1][-1], reverse=True)
 
 
-def _kernel_worker(job: tuple[int, list[int]]) -> None:
-    """Phase 1 for one character: B_{n,psi} for its indices; rows report failures."""
+def _kernel_worker(job: tuple[int, list[int]]) -> list[tuple[int, int, Fraction]]:
+    """Phase 1 for one character: its (n, disc, B_{n,psi}) triples, or [] if
+    the kernel raises; the rows then report the failure."""
     disc, ns = job
-    with suppress(Exception):
-        gen_bernoulli_many(ns, QuadChar(disc))
+    try:
+        return [(n, disc, v) for n, v in zip(ns, gen_bernoulli_many(ns, QuadChar(disc)))]
+    except Exception:
+        return []
 
 
-def _tracked(work: Callable, item):
-    """work(item), and the default-cache entries the call inserted."""
-    mark = len(DEFAULT_CACHE)
-    return work(item), DEFAULT_CACHE.entries_since(mark)
-
-
-def _fan_out(work: Callable, items: list, jobs: int) -> list:
-    """[work(item) for item in items], merging each call's cache entries as it
-    returns.  With jobs > 1 and several items, `jobs` forked workers, each a
-    copy of this process, take the calls in order, four chunks per worker."""
-    tracked = partial(_tracked, work)
-    pool = get_context("fork").Pool(processes=jobs) if jobs > 1 and len(items) > 1 else None
-    results = []
-    with pool or nullcontext():
-        outcomes = (map(tracked, items) if pool is None else
-                    pool.imap(tracked, items, chunksize=max(1, len(items) // (4 * jobs))))
-        for result, entries in outcomes:
-            DEFAULT_CACHE.merge(entries)
-            results.append(result)
-    return results
+def _fan_out(work: Callable, items: list, jobs: int) -> Iterator:
+    """work(item) for item in items, yielded in order as the calls return.
+    With jobs > 1 and several items, `jobs` forked workers, each a copy of
+    this process, take the calls in order, four chunks per worker."""
+    if jobs < 2 or len(items) < 2:
+        yield from map(work, items)
+        return
+    with get_context("fork").Pool(processes=jobs) as pool:
+        yield from pool.imap(work, items, chunksize=max(1, len(items) // (4 * jobs)))
 
 
 @dataclass
@@ -362,16 +354,18 @@ def scan(cfg: ScanConfig) -> ScanResult:
     """Run every instance of the configured grid; reports in instance order.
 
     A scan of a statement that takes d runs in two phases.  Phase 1 makes
-    one gen_bernoulli_many call per character psi of the grid, for the
-    union of r and 3r over its rows, so each psi costs one kernel walk
-    (none on a warm cache).  Phase 2 runs the rows, whose B_{n,psi} reads
-    and splits are then hits.  Both phases go through _fan_out, phase 1 by
-    character, largest first: its entries are merged before phase 2 forks
-    its workers, which inherit every B_{n,psi}.
+    one gen_bernoulli_many call per non-principal character psi of the
+    grid, for the union of r and 3r over its rows, so each psi costs one
+    kernel walk (none on a warm cache).  Phase 2 runs the rows, whose
+    B_{n,psi} reads and splits are then hits.  Both go through _fan_out,
+    phase 1 by character, largest first; its values are merged as they
+    return, so phase 2's forked workers inherit every B_{n,psi}.  Rows
+    return no entries: plain B_n a forked row computes stay in its worker.
     """
     instances = build_instances(cfg)
     if lookup(cfg.statement).takes_d:
-        _fan_out(_kernel_worker, _kernel_jobs(instances), cfg.jobs)
+        for entries in _fan_out(_kernel_worker, _kernel_jobs(instances), cfg.jobs):
+            DEFAULT_CACHE.merge(entries)
     result = ScanResult()
     for report, v, err in _fan_out(_worker, instances, cfg.jobs):
         if err is not None:

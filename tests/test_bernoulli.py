@@ -347,29 +347,16 @@ def test_cache_concurrent_use_and_consistency():
         assert cache.get(n, 5) is None or cache.get(n, 5) == fresh.gen_bernoulli(n, CHI5)
 
 
-def test_cache_entries_since_returns_the_insertions_in_order():
-    cache = BernoulliCache()
-    assert cache.entries_since(len(cache)) == []
-    mark = len(cache)
-    cache.gen_bernoulli(4, CHI8N)
-    assert cache.entries_since(mark) == [
-        (2, None, Fraction(1, 6)),
-        (4, None, Fraction(-1, 30)),
-        (4, -8, Fraction(0)),
-    ]
-    mark = len(cache)
-    cache.gen_bernoulli(3, CHI8N)
-    assert cache.entries_since(mark) == [(3, -8, Fraction(9))]
-    assert cache.entries_since(len(cache)) == []
+class _RecordingDict(dict):
+    """A dict that records the keys assigned to it, in order (merge's
+    setdefault assigns none)."""
 
-
-class _CountingDict(dict):
-    """A dict that counts item assignments (merge's setdefault is not one)."""
-
-    writes = 0
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.written = []
 
     def __setitem__(self, key, value):
-        self.writes += 1
+        self.written.append(key)
         super().__setitem__(key, value)
 
 
@@ -377,16 +364,16 @@ def test_merged_plain_values_are_not_recomputed():
     source = BernoulliCache()
     source.bernoulli(204)
     fresh = BernoulliCache()
-    fresh._values = _CountingDict(fresh._values)
+    fresh._values = _RecordingDict(fresh._values)
     fresh.merge(e for e in source.entries() if e[0] <= 200)
     assert fresh.bernoulli(202) == source.bernoulli(202)
-    assert fresh._values.writes == 1
+    assert fresh._values.written == [(202, None)]
     # a gap (say, a rejected cache entry) is filled, nothing else is rewritten
     gappy = BernoulliCache()
-    gappy._values = _CountingDict(gappy._values)
+    gappy._values = _RecordingDict(gappy._values)
     gappy.merge(e for e in source.entries() if e[0] <= 200 and e[0] != 100)
     assert gappy.bernoulli(204) == source.bernoulli(204)
-    assert gappy._values.writes == 3
+    assert gappy._values.written == [(100, None), (202, None), (204, None)]
     assert gappy.get(100, None) == source.get(100, None)
 
 
@@ -421,14 +408,11 @@ def test_tangent_kernel_writes_only_absent_keys_in_ascending_order(requests, mer
     assert max(requests) == 1460
     oracle = _recurrence_1460()
     cache = BernoulliCache()
-    cache._values = _CountingDict(cache._values)
+    cache._values = _RecordingDict(cache._values)
     cache.merge((n, None, oracle[n]) for n in merged_n)
-    mark = len(cache)
     for n in requests:
         assert cache.bernoulli(n) == oracle[n], n
-    written = [n for n, _, _ in cache.entries_since(mark)]
-    assert cache._values.writes == len(written)
-    assert written == sorted(set(range(2, 1461, 2)) - set(merged_n))
+    assert cache._values.written == [(n, None) for n in range(2, 1461, 2) if n not in merged_n]
     for n in range(0, 1461, 2):
         assert cache.get(n, None) == oracle[n], n
 
@@ -481,18 +465,18 @@ def test_multi_index_call_equals_one_index_calls_and_computes_only_absent_keys()
     single = [BernoulliCache().gen_bernoulli(n, psi) for n in ns]
     cache = BernoulliCache()
     cache.gen_bernoulli(6, psi)
-    cache._values = _CountingDict(cache._values)
+    before = set(cache._values)
+    cache._values = _RecordingDict(cache._values)
     asked = []
     kernel = cache._gen_bernoulli_compute
     cache._gen_bernoulli_compute = lambda idx, chi: asked.append(list(idx)) or kernel(idx, chi)
-    mark = len(cache)
     assert cache.gen_bernoulli_many(ns, psi) == single
     assert asked == [[2, 7, 18]]
-    written = cache.entries_since(mark)
-    assert [(n, disc) for n, disc, _ in written if disc is not None] == [(2, 8), (7, 8), (18, 8)]
-    assert cache._values.writes == len(written)
+    written = list(cache._values.written)
+    assert [key for key in written if key[1] is not None] == [(2, 8), (7, 8), (18, 8)]
+    assert len(set(written)) == len(written) and before.isdisjoint(written)
     assert cache.gen_bernoulli_many(ns, psi) == single
-    assert asked == [[2, 7, 18]] and cache._values.writes == len(written)
+    assert asked == [[2, 7, 18]] and cache._values.written == written
     assert gen_bernoulli_many((3, 9), CHI8N) == [gen_bernoulli(3, CHI8N), gen_bernoulli(9, CHI8N)]
 
 

@@ -9,8 +9,10 @@ import pytest
 from fractions import Fraction
 
 from quadcong.bernoulli import BernoulliCache
+from quadcong.characters import QuadChar
 from quadcong.cli import (
     CACHE_FILE,
+    CACHE_VERSION,
     _entry_valid,
     load_cache,
     main,
@@ -248,144 +250,173 @@ def test_lfun_command(capsys):
     assert code == 2
 
 
+def _fresh_default_cache(monkeypatch) -> BernoulliCache:
+    """A fresh default cache for the commands a test runs in process."""
+    from importlib import import_module
+
+    fresh = BernoulliCache()
+    for name in ("quadcong.bernoulli", "quadcong.suite", "quadcong.cli"):
+        monkeypatch.setattr(import_module(name), "DEFAULT_CACHE", fresh)
+    return fresh
+
+
 def test_cache_round_trip(tmp_path, capsys):
     cache_dir = str(tmp_path)
-    code, *_ = run_cli(capsys, "bernoulli", "--n", "12", "--cache-dir", cache_dir)
+    code, *_ = run_cli(capsys, "bernoulli", "--n", "2", "--disc", "5", "--cache-dir", cache_dir)
     assert code == 0
     path = os.path.join(cache_dir, CACHE_FILE)
     payload = json.loads(open(path).read())
-    assert payload["version"] == 1
+    assert payload["version"] == CACHE_VERSION
     entries = {(e["n"], e["disc"]): (e["num"], e["den"]) for e in payload["entries"]}
-    assert entries[(12, None)] == ("-691", "2730")
+    assert entries[(2, 5)] == ("4", "5")
+    assert all(disc is not None for _, disc in entries)
     fresh = BernoulliCache()
     accepted, rejected = load_cache(cache_dir, fresh)
     assert accepted == len(payload["entries"]) and rejected == 0
-    assert fresh.get(12, None) == Fraction(-691, 2730)
+    assert fresh.get(2, 5) == Fraction(4, 5)
 
 
-def test_cache_rejects_tampering(tmp_path):
-    cache_dir = str(tmp_path)
-    cache = BernoulliCache()
-    cache.bernoulli(12)
-    store_cache(cache_dir, cache)
-    path = os.path.join(cache_dir, CACHE_FILE)
-    payload = json.loads(open(path).read())
-    for e in payload["entries"]:
-        if e["n"] == 12:
-            e["num"] = "-690"  # breaks lowest terms against den = 2730
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    fresh = BernoulliCache()
-    accepted, rejected = load_cache(cache_dir, fresh)
-    assert rejected == 1
-    assert fresh.get(12, None) is None
-    assert fresh.bernoulli(12) == Fraction(-691, 2730)  # recomputed
+def test_cache_rejects_tampering(tmp_path, capsys, monkeypatch):
+    chi5 = QuadChar(5)
+    for n, num, den in ((2, "8", "10"),  # B_{2,chi_5} = 4/5, not in lowest terms
+                        (0, "7", "1")):  # B_{0,chi} = 0 for every non-principal chi
+        cache_dir = str(tmp_path / str(n))
+        cache = BernoulliCache()
+        true = cache.gen_bernoulli(n, chi5)
+        path = store_cache(cache_dir, cache)
+        payload = json.loads(open(path).read())
+        for e in payload["entries"]:
+            if (e["n"], e["disc"]) == (n, 5):
+                e["num"], e["den"] = num, den
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        fresh = BernoulliCache()
+        accepted, rejected = load_cache(cache_dir, fresh)
+        assert rejected == 1
+        assert fresh.get(n, 5) is None
+        assert fresh.gen_bernoulli(n, chi5) == true  # recomputed
+        _fresh_default_cache(monkeypatch)
+        code, out, err = run_cli(capsys, "bernoulli", "--n", str(n), "--disc", "5",
+                                 "--cache-dir", cache_dir)
+        assert code == 0 and "dropped 1" in err
+        assert json.loads(out)["value"] == f"{true.numerator}/{true.denominator}"
 
 
 def test_cache_version_mismatch_ignored(tmp_path):
     cache_dir = str(tmp_path)
     with open(os.path.join(cache_dir, CACHE_FILE), "w") as fh:
-        json.dump({"version": 99, "entries": [{"n": 2, "disc": None, "num": "1", "den": "5"}]}, fh)
+        json.dump({"version": 99, "entries": [{"n": 2, "disc": 5, "num": "4", "den": "5"}]}, fh)
     fresh = BernoulliCache()
     accepted, rejected = load_cache(cache_dir, fresh)
     assert accepted == 0
-    assert fresh.get(2, None) is None
+    assert fresh.get(2, 5) is None
 
 
+# Each entry would load but for the one field under test: B_{2,chi_5} = 4/5,
+# B_{1,chi_-8} = -1.
 @pytest.mark.parametrize("entries", [
     [{"n": 2, "disc": "5", "num": "4", "den": "5"}],   # string discriminant
     [{"n": 2, "disc": 5.0, "num": "4", "den": "5"}],   # float discriminant
-    [{"n": True, "disc": None, "num": "-1", "den": "2"}],  # bool index
+    [{"n": True, "disc": -8, "num": "-1", "den": "1"}],  # bool index
     [5, "entry", None],                                # entries that are no objects
-    [{"n": 2, "disc": None, "num": 1.9, "den": 6}],    # float num, int() would truncate it
-    [{"n": 2, "disc": None, "num": True, "den": 6}],   # bool num
-    [{"n": 2, "disc": None, "num": "1.9", "den": "6"}],  # no decimal integer string
-    [{"n": 2, "disc": None, "num": "1", "den": " 6"}],   # not as store_cache writes it
+    [{"n": 2, "disc": 5, "num": 4.9, "den": 5}],       # float num, int() would truncate it
+    [{"n": 2, "disc": 5, "num": True, "den": 5}],      # bool num
+    [{"n": 2, "disc": 5, "num": "4.9", "den": "5"}],   # no decimal integer string
+    [{"n": 2, "disc": 5, "num": "4", "den": " 5"}],    # not as store_cache writes it
 ])
 def test_cache_drops_entries_of_the_wrong_type(tmp_path, capsys, entries):
     with open(tmp_path / CACHE_FILE, "w") as fh:
-        json.dump({"version": 1, "entries": entries}, fh)
+        json.dump({"version": CACHE_VERSION, "entries": entries}, fh)
     fresh = BernoulliCache()
     before = list(fresh.entries())
     assert load_cache(str(tmp_path), fresh) == (0, len(entries))
     assert list(fresh.entries()) == before
-    code, out, err = run_cli(capsys, "bernoulli", "--n", "4", "--cache-dir", str(tmp_path))
-    assert code == 0 and json.loads(out)["value"] == "-1/30"
+    code, out, err = run_cli(capsys, "bernoulli", "--n", "2", "--disc", "5", "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["value"] == "4/5"
     assert "dropped" in err
     stored = json.loads((tmp_path / CACHE_FILE).read_text())["entries"]
-    assert all(isinstance(e["disc"], (int, type(None))) for e in stored)
+    assert stored and all(type(e["disc"]) is int for e in stored)
 
 
 def test_cache_drops_principal_character_key(tmp_path, capsys):
     """Nothing stores (n, 1): the principal character reads plain B_n."""
-    assert not _entry_valid(3, 1, 7, 1)
+    assert not _entry_valid(3, 1, 7, 1) and not _entry_valid(2, 1, 7, 1)
     with open(tmp_path / CACHE_FILE, "w") as fh:
-        json.dump({"version": 1, "entries": [{"n": 3, "disc": 1, "num": "7", "den": "1"}]}, fh)
-    assert load_cache(str(tmp_path), BernoulliCache()) == (0, 1)
-    code, out, err = run_cli(capsys, "bernoulli", "--n", "2", "--cache-dir", str(tmp_path))
-    assert code == 0 and "dropped 1" in err
+        json.dump({"version": CACHE_VERSION, "entries": [
+            {"n": n, "disc": 1, "num": "7", "den": "1"} for n in (2, 3)]}, fh)
+    assert load_cache(str(tmp_path), BernoulliCache()) == (0, 2)
+    code, out, err = run_cli(capsys, "bernoulli", "--n", "2", "--disc", "5", "--cache-dir", str(tmp_path))
+    assert code == 0 and "dropped 2" in err
     stored = json.loads((tmp_path / CACHE_FILE).read_text())["entries"]
     assert stored and all(e["disc"] != 1 for e in stored)
 
 
 def test_cache_accepts_int_and_canonical_string_fields(tmp_path):
-    entries = [{"n": 2, "disc": None, "num": 1, "den": 6},
-               {"n": 4, "disc": None, "num": "-1", "den": "30"}]
+    entries = [{"n": 2, "disc": 5, "num": 4, "den": 5},
+               {"n": 3, "disc": -8, "num": "9", "den": "1"}]
     with open(tmp_path / CACHE_FILE, "w") as fh:
-        json.dump({"version": 1, "entries": entries}, fh)
+        json.dump({"version": CACHE_VERSION, "entries": entries}, fh)
     fresh = BernoulliCache()
     assert load_cache(str(tmp_path), fresh) == (2, 0)
-    assert fresh.get(2, None) == Fraction(1, 6) and fresh.get(4, None) == Fraction(-1, 30)
+    assert fresh.get(2, 5) == Fraction(4, 5) and fresh.get(3, -8) == 9
 
 
 def test_cache_entries_not_a_list_rebuilds(tmp_path, capsys):
     with open(tmp_path / CACHE_FILE, "w") as fh:
-        json.dump({"version": 1, "entries": 5}, fh)
+        json.dump({"version": CACHE_VERSION, "entries": 5}, fh)
     assert load_cache(str(tmp_path), BernoulliCache()) == (0, 0)
-    code, out, err = run_cli(capsys, "bernoulli", "--n", "4", "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, "bernoulli", "--n", "2", "--disc", "5", "--cache-dir", str(tmp_path))
     assert code == 0 and "rebuilding" in err
     assert json.loads((tmp_path / CACHE_FILE).read_text())["entries"]
 
 
 def test_entry_validation_rules():
-    assert _entry_valid(12, None, -691, 2730)
-    assert not _entry_valid(12, None, -690, 2730)   # not lowest terms
-    assert not _entry_valid(12, None, 691, 2730)    # wrong sign
-    assert not _entry_valid(12, None, -691, 2731)   # wrong denominator set
-    assert not _entry_valid(7, None, 1, 2)          # odd index must vanish
-    assert _entry_valid(7, None, 0, 1)
+    assert not _entry_valid(12, None, -691, 2730)   # plain B_n are never loaded
     assert not _entry_valid(2, -8, 5, 1)            # odd character: even index vanishes
     assert _entry_valid(2, -8, 0, 1)
     assert _entry_valid(3, -8, 9, 1)
+    assert not _entry_valid(3, -8, 18, 2)           # not lowest terms
+    assert not _entry_valid(0, 5, 7, 1)             # B_{0,chi} = 0
+    assert not _entry_valid(0, -8, 1, 1)
+    assert _entry_valid(0, 5, 0, 1)
+    assert _entry_valid(2, 5, 4, 5)
     assert not _entry_valid(2, 6, 1, 1)             # 6 is no discriminant
+    assert not _entry_valid(2, True, 1, 1)          # a bool is no discriminant
 
 
-def test_entry_valid_von_staudt_clausen_matches_the_linear_scan():
-    """The denominator read from the divisors of n is the one the scan over
-    every q <= n + 1 builds, and a huge n is rejected without that scan."""
-    for n in range(2, 3000, 2):
-        den = 1
-        for q in range(2, n + 2):
-            if n % (q - 1) == 0 and is_prime(q):
-                den *= q
-        num = (den << n * n.bit_length()) + 1  # prime to den, as long as |B_n| implies
-        assert _entry_valid(n, None, -num if n % 4 == 0 else num, den), n
+def test_entry_valid_bounds_the_discriminant_before_factoring_it(tmp_path):
+    """A product of two primes = 1 mod 4 near 10^7 is a fundamental
+    discriminant that trial division takes about half a second to confirm;
+    it is past the bound and refused at once.  The largest discriminant of
+    the d <= 2000 thm1 grid still loads."""
+    from quadcong.suite import THM1, ScanConfig, _kernel_jobs, build_instances
+
+    p, q = [q for q in range(10 ** 7 + 1, 10 ** 7 + 400, 4) if is_prime(q)][:2]
     t0 = time.perf_counter()
-    assert not _entry_valid(10**9, None, -1, 6)
-    assert time.perf_counter() - t0 < 0.5
-
-
-def test_entry_valid_rejects_a_short_numerator_before_factoring_n():
-    """|num| >= 6 |B_n| > 12 n!/(2 pi)^n gives num at least n (bit_length(n) - 6)
-    bits; every real B_n passes that, and a short num with a hard n is refused
-    without trial division."""
+    assert not _entry_valid(2, p * q, 1, 1)
+    assert time.perf_counter() - t0 < 0.01
+    disc, ns = max(_kernel_jobs(build_instances(ScanConfig(THM1, d_max=2000, p_max=200))),
+                   key=lambda job: abs(job[0]))
     cache = BernoulliCache()
-    for n in range(2, 1461, 2):
-        b = cache.bernoulli(n)
-        assert _entry_valid(n, None, b.numerator, b.denominator), n
-    t0 = time.perf_counter()
-    assert not _entry_valid(2 * 10000019 * 10000079, None, 1, 6)
-    assert time.perf_counter() - t0 < 0.05
+    assert cache.gen_bernoulli(ns[0], QuadChar(disc))
+    store_cache(str(tmp_path), cache)
+    assert load_cache(str(tmp_path), BernoulliCache()) == (1, 0)
+
+
+def test_cached_plain_value_never_reaches_a_character_value(tmp_path, capsys, monkeypatch):
+    """A plain entry with a wrong B_12 passes every shape and denominator
+    check; it is dropped on load, so B_{18,chi_8}, which is built from B_12,
+    and the thm1 verdict at (26, 13) stay exact, and no plain entry is stored."""
+    _fresh_default_cache(monkeypatch)
+    path = tmp_path / CACHE_FILE
+    path.write_text(json.dumps({"version": CACHE_VERSION, "entries": [
+        {"n": 12, "disc": None, "num": "-3421", "den": "2730"}]}))
+    code, out, err = run_cli(capsys, "verify", "thm1", "--d", "26", "--p", "13",
+                             "--cache-dir", str(tmp_path))
+    assert json.loads(out)["rhs"] == "19450718233604599/1"
+    assert "dropped 1" in err
+    stored = json.loads(path.read_text())["entries"]
+    assert stored and all(e["disc"] is not None for e in stored)
 
 
 def test_store_cache_replaces_the_file_whole(tmp_path, monkeypatch):
@@ -393,14 +424,16 @@ def test_store_cache_replaces_the_file_whole(tmp_path, monkeypatch):
     after opening its temporary file (in the encoder or in the rename) leaves
     the previous file untouched and no temporary file."""
     cache = BernoulliCache()
-    cache.bernoulli(12)
+    cache.gen_bernoulli_many((2, 4), QuadChar(5))
     path = Path(store_cache(str(tmp_path), cache))
     before = path.read_bytes()
     entries = [{"n": n, "disc": disc, "num": str(v.numerator), "den": str(v.denominator)}
-               for n, disc, v in cache.entries()]
-    assert before == (json.dumps({"version": 1, "entries": entries}, sort_keys=True) + "\n").encode()
+               for n, disc, v in cache.entries() if disc is not None]
+    assert [(e["n"], e["disc"]) for e in entries] == [(2, 5), (4, 5)]
+    assert before == (json.dumps({"version": CACHE_VERSION, "entries": entries},
+                                 sort_keys=True) + "\n").encode()
     bigger = BernoulliCache()
-    bigger.bernoulli(40)
+    bigger.gen_bernoulli_many(range(0, 40, 2), QuadChar(5))
 
     def encode_fails(obj, **kwargs):
         raise OSError(28, "No space left on device")
@@ -515,15 +548,10 @@ def test_input_error_leaves_an_existing_out_file_alone(tmp_path, capsys):
 def test_interrupted_scan_stores_every_character_value_of_its_grid(tmp_path, monkeypatch):
     """Phase 1 has filled the cache before the rows run, so a scan
     interrupted at its third row still persists every B_{r,psi}, B_{3r,psi}."""
-    from importlib import import_module
-
-    import quadcong.cli as cli_mod
     import quadcong.suite as suite_mod
     from quadcong.characters import split_character
 
-    fresh = BernoulliCache()
-    for module in (import_module("quadcong.bernoulli"), suite_mod, cli_mod):
-        monkeypatch.setattr(module, "DEFAULT_CACHE", fresh)
+    fresh = _fresh_default_cache(monkeypatch)
     rows = []
     row = suite_mod.run_instance
 
@@ -541,12 +569,14 @@ def test_interrupted_scan_stores_every_character_value_of_its_grid(tmp_path, mon
     accepted, rejected = load_cache(str(tmp_path), loaded)
     assert accepted and rejected == 0
     grid = suite_mod.build_instances(suite_mod.ScanConfig("THM1", d_max=150, p_max=23))
-    assert len(grid) > 3
-    for _, d, p, _ in grid:
-        split = split_character(d, p)
-        disc = None if split.psi.is_principal else split.psi.discriminant
+    # the rows of a principal psi read plain B_n, which are not stored
+    splits = [split_character(d, p) for _, d, p, _ in grid]
+    splits = [split for split in splits if not split.psi.is_principal]
+    assert len(splits) > 3
+    for split in splits:
+        disc = split.psi.discriminant
         for n in (split.r, 3 * split.r):
-            assert loaded.get(n, disc) == fresh.get(n, disc) is not None, (d, p, n)
+            assert loaded.get(n, disc) == fresh.get(n, disc) is not None, (split, n)
 
 
 def test_scan_nondetector_failure_exits_1(capsys):
@@ -604,7 +634,7 @@ def test_table1_manifest_counts_no_skipped_row_as_an_error(capsys):
 def test_serial_and_parallel_scans_persist_the_same_cache(tmp_path):
     """--jobs 1 and --jobs 2, each from an empty cache in a fresh interpreter,
     write the same report bytes and the same cache file bytes.  The lehmer2
-    scan's plain B_n reach the parent only through the rows' merge."""
+    scan reads only plain B_n, so its file holds no entry."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     for argv in (("thm1", "--d-max", "150", "--p-max", "23"),
                  ("lehmer2", "--p-max", "60", "--k-max", "3")):
@@ -618,6 +648,7 @@ def test_serial_and_parallel_scans_persist_the_same_cache(tmp_path):
             )
             written.append((run.stdout, (cache_dir / CACHE_FILE).read_bytes()))
         assert written[0][0] and written[0] == written[1], argv
+    assert json.loads(written[0][1])["entries"] == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -641,9 +672,10 @@ def test_usage_error_writes_no_cache(tmp_path, capsys):
 
 
 def test_failing_verdict_still_stores_the_cache(tmp_path, capsys):
-    code, _, _ = run_cli(capsys, "verify", "super-wilson", "--p", "5", "--cache-dir", str(tmp_path))
+    code, _, _ = run_cli(capsys, "verify", "super-aacm", "--d", "14", "--p", "7",
+                         "--cache-dir", str(tmp_path))
     assert code == 1
     fresh = BernoulliCache()
     accepted, rejected = load_cache(str(tmp_path), fresh)
     assert accepted and not rejected
-    assert fresh.get(8, None) == Fraction(-1, 30)
+    assert (fresh.get(3, -8), fresh.get(9, -8)) == (9, -2256633)

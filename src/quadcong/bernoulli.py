@@ -7,8 +7,19 @@ Conventions matter here and are easy to get wrong:
   its index-1 value is +1/2 while agreeing with B_n everywhere else.
   It is answered from the plain values and has no cache key of its own.
 
-Plain even B_n come from tangent numbers (Brent & Harvey,
-arXiv:1108.0286) in integers.  B_{n,chi} come from integer power sums of
+Plain even B_n take one of two routes, chosen by what the caller asks for.
+A prefix, every B_j for j <= n, comes from tangent numbers (Brent &
+Harvey, arXiv:1108.0286) in integers: _extend_even(n) extends the
+triangle, and the B_{n,chi} kernel's rows read it.  A lone index n >=
+_ZETA_MIN that is not yet cached (the Wilson checks, lfun, the rows of a
+principal character, `bernoulli --n`) comes from zeta(n) instead, and only
+its own key is written: B_n = N/D with D the von Staudt-Clausen
+denominator, and N an integer that fixed-point bounds on
+2 n! D zeta(n) / (2 pi)^n, every rounding directed outward, pin down
+(Fillebrown, J. Algorithms 13, 1992).  The value is returned only when
+exactly one integer lies between the bounds; otherwise the route retries
+with more guard bits and then raises ArithmeticError.  So both routes
+give exact values.  B_{n,chi} come from integer power sums of
 chi over half the range, 1 <= a < f/2, by the reflection
 B_n(1-x) = (-1)^n B_n(x); it also makes B_{n,chi} exactly 0 when
 chi(-1) != (-1)^n.  Indices asked for together share one walk over the
@@ -26,10 +37,25 @@ from __future__ import annotations
 import threading
 from collections.abc import Sequence
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm, lgamma, log, pi, prod
 from operator import floordiv, mul
 
 from .characters import QuadChar, char_values
+from .primes import divisors, factorize, is_prime, primes_up_to
+
+# Lone even indices from here up come from zeta(n), smaller ones from the
+# tangent triangle.  Below it the triangle is cheap (3.3 ms for every index
+# up to 298) and zeta(n) gains little: the Euler product needs the primes up
+# to about 2^(W/(n-1)), more of them as n falls.  The 229 distinct indices
+# of a Wilson scan with p <= 300, k <= 5, asked for lone in scan order, cost
+# 101-111 ms (median of 15) with a floor anywhere from 40 to 300, 118 ms
+# with 600, and 336 ms from the triangle alone (2 vCPU, CPython 3.11).  At
+# 300 the B_{n,chi} grids with p <= 200, whose indices stop at 297, keep
+# reading the triangle for their principal rows too.
+_ZETA_MIN = 300
+
+# Guard bits of the zeta route, on top of n.bit_length(); doubled on retry.
+_GUARD_BITS = 16
 
 
 class BernoulliCache:
@@ -37,13 +63,19 @@ class BernoulliCache:
 
     Reads are lock-free; writes are serialized so threads can share one
     instance.  Scan workers are forked processes, each with its own copy.
-    Entries are never evicted.  Besides the values, the cache keeps two
-    kinds of scratch state, which are never stored, merged or returned as
-    entries: the last column of the tangent-number triangle that plain B_n
-    come from, so asking for a larger n extends it instead of starting
-    over, and the row of C(n,j) L B_j of each index n the B_{n,chi} kernel
-    has used (see _binomial_row), so later characters reuse it.  `len` and
-    `entries` count and list cached values only.
+    Entries are never evicted.  `bernoulli(n)` serves a lone plain index:
+    below _ZETA_MIN it extends the tangent triangle (every smaller index
+    comes with it), from there up it certifies B_n from zeta(n) and writes
+    that key alone (_bernoulli_zeta).  A prefix of plain values, as the
+    B_{n,chi} kernel needs, comes from _extend_even.  Besides the values,
+    the cache keeps three kinds of scratch state, which are never stored,
+    merged or returned as entries: the last column of the tangent-number
+    triangle, so asking for a larger prefix extends it instead of starting
+    over; the bounds of pi and of (4/pi)^(2^i) at the zeta route's working
+    precision, rebuilt only when that precision doubles; and the row of
+    C(n,j) L B_j of each index n the B_{n,chi} kernel has used (see
+    _binomial_row), so later characters reuse it.  `len` and `entries`
+    count and list cached values only.
     """
 
     def __init__(self) -> None:
@@ -52,6 +84,7 @@ class BernoulliCache:
             (1, None): Fraction(-1, 2),
         }
         self._tangent: list[int] = []
+        self._pi_powers: tuple[int, list[tuple[int, int]]] = (0, [])
         self._rows: dict[int, tuple[int, list[int], int]] = {}
         self._lock = threading.RLock()
 
@@ -88,29 +121,92 @@ class BernoulliCache:
         if got is not None:
             return got
         with self._lock:
-            self._extend_even(n)
+            if n < _ZETA_MIN:
+                self._extend_even(n)
+            elif (n, None) not in self._values:
+                self._values[(n, None)] = self._bernoulli_zeta(n)
             return self._values[(n, None)]
 
     def _extend_even(self, n: int) -> None:
-        # Brent-Harvey tangent numbers, in Python integers and incrementally.
-        # self._tangent is column j of the tangent triangle: the values its
-        # entry j takes, from (j-1)! through passes 2..j, so the last is T_j.
-        # Column j + 1 needs only column j, so a larger n costs only the new
-        # columns, and B_{2j} = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) reads no
-        # cached B_m: a wrong merged value cannot spread.  Only absent keys
-        # are written, in ascending order, so merged values stay and a gap
-        # is filled.
-        col = self._tangent
-        while 2 * len(col) < n:
-            j = len(col) + 1
-            prev = 0
-            for k in range(j - 1):
-                prev = col[k] = (j - 1 - k) * col[k] + (j + 1 - k) * prev
-            col.append(2 * prev if j > 1 else 1)
-            if (2 * j, None) not in self._values:
-                q = 4 ** j
-                t = col[-1] if j % 2 else -col[-1]
-                self._values[(2 * j, None)] = Fraction(2 * j * t, q * (q - 1))
+        """Make every B_j with j <= n a cache hit: the prefix entry point.
+
+        Brent-Harvey tangent numbers, in Python integers and incrementally.
+        self._tangent is column j of the tangent triangle: the values its
+        entry j takes, from (j-1)! through passes 2..j, so the last is T_j.
+        Column j + 1 needs only column j, so a larger n costs only the new
+        columns, and B_{2j} = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) reads no
+        cached B_m: a wrong merged value cannot spread.  Only absent keys
+        are written, in ascending order, so merged values stay and a gap
+        is filled.
+        """
+        with self._lock:
+            col = self._tangent
+            while 2 * len(col) + 2 <= n:
+                j = len(col) + 1
+                prev = 0
+                for k in range(j - 1):
+                    prev = col[k] = (j - 1 - k) * col[k] + (j + 1 - k) * prev
+                col.append(2 * prev if j > 1 else 1)
+                if (2 * j, None) not in self._values:
+                    q = 4 ** j
+                    t = col[-1] if j % 2 else -col[-1]
+                    self._values[(2 * j, None)] = Fraction(2 * j * t, q * (q - 1))
+
+    def _bernoulli_zeta(self, n: int) -> Fraction:
+        """B_n for even n >= 4 from zeta(n), certified; the lock is held.
+
+        B_n = N/D with D the von Staudt-Clausen denominator, and
+        |N| = 2 n! D zeta(n) / (2 pi)^n = A zeta(n) (4/pi)^n / 2^(3n),
+        A = 2 n! D, is an integer (Fillebrown, J. Algorithms 13, 1992).  With
+        W fractional bits, T_lo <= (4/pi)^n 2^W <= T_hi and
+        R_lo <= 2^W / zeta(n) <= R_hi give A T_lo / (R_hi 2^(3n)) <= |N| <=
+        A T_hi / (R_lo 2^(3n)).  Every bound is rounded outward, so when
+        exactly one integer lies between them it is |N|.  The float estimate
+        of log2 |N| only sizes W: if it is too small, the check fails and the
+        route retries once with doubled guard bits, then raises.
+        """
+        D = _vsc_denominator(n)
+        A = 2 * factorial(n) * D
+        est = 1 + (lgamma(n + 1) - n * log(2 * pi)) / log(2) + D.bit_length()
+        guard = n.bit_length() + _GUARD_BITS
+        for g in (guard, 2 * guard):
+            W = int(est) + g
+            T_lo, T_hi = self._four_over_pi_pow(n, W)
+            R_lo, R_hi = _inv_zeta_bounds(n, W, int(2 ** (W / (n - 1))) + 1)
+            lo = -(-(A * T_lo) // (R_hi << 3 * n))  # least integer >= the lower bound
+            hi = A * T_hi // (R_lo << 3 * n)  # largest integer <= the upper bound
+            if lo == hi:
+                return Fraction(lo if n % 4 == 2 else -lo, D)  # sign (-1)^(n/2+1)
+        raise ArithmeticError(f"B_{n} from zeta({n}): bounds pin no single integer")
+
+    def _four_over_pi_pow(self, n: int, W: int) -> tuple[int, int]:
+        """(lo, hi) with lo <= (4/pi)^n 2^W <= hi, for n >= 1; the lock is held.
+
+        Reads the table of (4/pi)^(2^i) bounds at the cache's precision
+        P >= W, shifted down to W bits outward, and multiplies those of n's
+        bits.  When W outgrows P, P at least doubles and pi and the table are
+        built again, so pi is computed once per doubling of the precision.
+        """
+        P, table = self._pi_powers
+        if W > P:
+            P = max(2 * P, W)
+            pi_lo, pi_hi = _pi_bounds(P)
+            four = 1 << (2 * P + 2)
+            table = [(four // pi_hi, -(-four // pi_lo))]
+            self._pi_powers = (P, table)
+        while len(table) < n.bit_length():
+            lo, hi = table[-1]
+            table.append((lo * lo >> P, -(-(hi * hi) >> P)))
+        s = P - W
+        lo = hi = 0
+        for i in range(n.bit_length()):
+            if n >> i & 1:
+                t_lo, t_hi = table[i][0] >> s, -(-table[i][1] >> s)
+                if lo:
+                    lo, hi = lo * t_lo >> W, -(-(hi * t_hi) >> W)
+                else:
+                    lo, hi = t_lo, t_hi
+        return lo, hi
 
     # -- generalized Bernoulli numbers ------------------------------------
 
@@ -146,6 +242,7 @@ class BernoulliCache:
             with self._lock:
                 got = self._rows.get(n)
                 if got is None:
+                    self._extend_even(n)
                     bs = [self.bernoulli(j) for j in range(n + 1)]
                     L = lcm(*(b.denominator for b in bs))
                     even = [comb(n, j) * bs[j].numerator * (L // bs[j].denominator)
@@ -175,8 +272,7 @@ class BernoulliCache:
         # same plain entries in the cache, in ascending order, whatever chi's
         # parity.
         rows = {n: self._binomial_row(n) for n in ns if chi.parity == (-1) ** n}
-        for j in range(max(rows, default=-1) + 1, max(ns) + 1):
-            self.bernoulli(j)
+        self._extend_even(max(ns))
         if not rows:
             return [Fraction(0)] * len(ns)
         f = chi.conductor
@@ -202,6 +298,63 @@ class BernoulliCache:
                 acc += c1 * f * T[n - 1]
             out[n] = Fraction(2 * acc, L * f)
         return [out.get(n, Fraction(0)) for n in ns]
+
+
+def _vsc_denominator(n: int) -> int:
+    """The denominator of B_n for even n >= 2: the product of the primes p
+    with (p - 1) | n (von Staudt-Clausen)."""
+    return prod(d + 1 for d in divisors(factorize(n), n) if is_prime(d + 1))
+
+
+def _inv_zeta_bounds(n: int, W: int, M: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^W / zeta(n) <= hi, for n >= 2 and M >= 2.
+
+    1/zeta(n) is the product of (1 - p^-n) over all primes.  The factors of
+    the primes p <= M are applied with floor for lo and ceil for hi (p = 2
+    by shifts).  The rest is at most 1 and at least 1/(1 + t) >= 1 - t with
+    t = M^(1-n)/(n-1) >= sum_{m > M} m^-n, which lo takes off.
+    """
+    lo = hi = 1 << W
+    for p in primes_up_to(M):
+        if p == 2:
+            lo, hi = lo + (-lo >> n), hi - (hi >> n)
+        else:
+            # one division serves both: hi - lo < q, so floor(hi/q) is
+            # floor(lo/q) or one more
+            q = p ** n
+            f, r = divmod(lo, q)
+            lo, hi = lo - f - (r > 0), hi - f - (r + hi - lo) // q
+    return lo + (-lo // ((n - 1) * M ** (n - 1))), hi
+
+
+def _arctan_inv(k: int, bits: int) -> tuple[int, int]:
+    """(s, e) with |arctan(1/k) 2^bits - s| <= e, for an integer k >= 2.
+
+    Term j of the series, 2^bits / ((2j+1) k^(2j+1)), is formed from
+    x_j = floor(x_(j-1) / k^2), x_0 = floor(2^bits / k), which is below the
+    exact power by less than 1/(1 - k^-2) <= 4/3; its floor division by
+    2j+1 then loses less than 3 in all.  The loop stops at x_J = 0, where
+    the alternating tail is below the exact term J < 4/3.  So the error is
+    under 3J + 2.
+    """
+    x, k2 = (1 << bits) // k, k * k
+    s = j = 0
+    while x:
+        s += -(x // (2 * j + 1)) if j & 1 else x // (2 * j + 1)
+        x //= k2
+        j += 1
+    return s, 3 * j + 2
+
+
+def _pi_bounds(bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= pi 2^bits <= hi, from Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239), with guard bits that keep hi - lo
+    within a few units."""
+    g = bits.bit_length() + 8
+    s5, e5 = _arctan_inv(5, bits + g)
+    s239, e239 = _arctan_inv(239, bits + g)
+    s, e = 16 * s5 - 4 * s239, 16 * e5 + 4 * e239
+    return (s - e) >> g, -(-(s + e) >> g)
 
 
 DEFAULT_CACHE = BernoulliCache()

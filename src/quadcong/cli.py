@@ -17,7 +17,8 @@ import sys
 import time
 from contextlib import suppress
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import gcd, lgamma, log, log10
 
 from . import __version__
 from .bernoulli import BernoulliCache, DEFAULT_CACHE, bernoulli, gen_bernoulli
@@ -55,10 +56,30 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _cache_int(x) -> int | None:
-    """A stored num or den: a non-bool int or the decimal string store_cache writes."""
-    if isinstance(x, str) and x.removeprefix("-").isdecimal() and str(int(x)) == x:
-        return int(x)
+def _max_digits(n: int, disc: int) -> int:
+    """The most decimal digits the num or den of B_{n,chi} can have, chi of
+    conductor f = |disc| (taken as at most 2^32, the validator's bound).
+
+    The kernel gives B_{n,chi} = 2 acc / (L f) with acc an integer and
+    L = lcm(den B_j, j <= n), which divides the product of the primes up to
+    n + 1, below 4^(n+1); so den < 4^(n+1) f.  And |B_{n,chi}| <=
+    f^n max_{0<=x<=1} |B_n(x)| <= f^n sum_j C(n,j) |B_j| <= e n! f^n, since
+    |B_j| <= j!.  So both are below e n! (4f)^(n+1).  TypeError or ValueError
+    for an n or disc no entry can have.
+    """
+    f = min(abs(disc), 2 ** 32)
+    return int((lgamma(n + 1) + 1) / log(10) + (n + 1) * log10(4 * f)) + 2
+
+
+def _cache_int(x, max_digits: int) -> int | None:
+    """A stored num or den: a non-bool int or the decimal string store_cache
+    writes, of at most max_digits digits.  A longer string is refused before
+    int() reads it, since reading is quadratic in its length."""
+    if isinstance(x, str):
+        digits = x.removeprefix("-")
+        if len(digits) <= max_digits and digits.isdecimal() and str(int(x)) == x:
+            return int(x)
+        return None
     return x if _is_int(x) else None
 
 
@@ -104,8 +125,9 @@ def load_cache(cache_dir: str, cache: BernoulliCache | None = None) -> tuple[int
     for entry in entries:
         try:
             n, disc = entry["n"], entry["disc"]
-            num, den = _cache_int(entry["num"]), _cache_int(entry["den"])
-        except (KeyError, TypeError, ValueError):  # ValueError: past int_max_str_digits
+            digits = _max_digits(n, disc)
+            num, den = _cache_int(entry["num"], digits), _cache_int(entry["den"], digits)
+        except (KeyError, TypeError, ValueError, OverflowError):  # also past int_max_str_digits
             continue
         if _entry_valid(n, disc, num, den):
             good.append((n, disc, Fraction(num, den)))
@@ -340,7 +362,22 @@ def _echo_config(args: argparse.Namespace) -> dict:
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The CLI parser, with the defaults of the --config file named in argv."""
+    """The CLI parser, with the defaults of the --config file named in argv.
+
+    Without --config every call returns the same parser, built once per
+    process.  A --config file rewrites defaults and `required` on the
+    parser it is installed in, so that parser is built fresh every time.
+    """
+    path = _config_path(argv or [])
+    return _plain_parser() if path is None else _new_parser(path)
+
+
+@cache
+def _plain_parser() -> argparse.ArgumentParser:
+    return _new_parser(None)
+
+
+def _new_parser(config_path: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadcong",
         description="Exact verification of quadratic-field and Wilson-quotient congruences",
@@ -392,33 +429,36 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "csv"), default="json")
     for sp in (pv, ps, pb, pl):
         sp.add_argument("--cache-dir", default=None, help="directory for the Bernoulli cache")
-    _install_config(argv or [], sub.choices)
+    if config_path is not None:
+        _install_config(config_path, sub.choices)
     return parser
+
+
+@cache
+def _config_pre_parser() -> argparse.ArgumentParser:
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config", default=None)
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    return pre
 
 
 def _config_path(argv: list[str]) -> str | None:
     """The --config value as the main parser reads it: `--config FILE`,
     `--config=FILE` or an abbreviation, before the subcommand.  A malformed
     use yields None and is left for the main parser to report."""
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config", default=None)
-    pre.add_argument("rest", nargs=argparse.REMAINDER)
     try:
-        return pre.parse_known_args(argv)[0].config
+        return _config_pre_parser().parse_known_args(argv)[0].config
     except argparse.ArgumentError:
         return None
 
 
-def _install_config(argv: list[str], subcommands: dict[str, argparse.ArgumentParser]) -> None:
-    """Make each key=value line of the --config file named in argv the default
+def _install_config(path: str, subcommands: dict[str, argparse.ArgumentParser]) -> None:
+    """Make each key=value line of the --config file at `path` the default
     of that flag in every subcommand that has it; explicit flags still win.
 
     argparse converts a string default through the flag's `type`.  A switch
     (`store_true`) is turned on by true, 1 or yes.  A bad file raises ValueError.
     """
-    path = _config_path(argv)
-    if path is None:
-        return
     try:
         with open(path, "r", encoding="utf-8") as fh:
             pairs = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]

@@ -10,6 +10,8 @@ so it checks the incremental bookkeeping, not the method; independence
 for plain B_n rests on the other two.  `a_coefficients_literal` reads
 production's character table and Fermat quotient, both checked on their
 own elsewhere, and sums the L-series terms one `Fraction` at a time.
+`pi_interval` uses the Bailey-Borwein-Plouffe series, not production's
+Machin formula.
 """
 from __future__ import annotations
 
@@ -68,6 +70,18 @@ def tangent_bernoulli(m: int) -> Fraction:
             T[k] = (k - n) * T[k - 1] + (k - n + 2) * T[k]
     sign = 1 if m % 2 == 1 else -1
     return sign * Fraction(2 * m * T[m], (4 ** m) * (4 ** m - 1))
+
+
+def pi_interval(bits: int) -> tuple[Fraction, Fraction]:
+    """(lo, hi) with lo <= pi <= hi and hi - lo < 2^-bits, from the
+    Bailey-Borwein-Plouffe series sum_k 16^-k (4/(8k+1) - 2/(8k+4) - 1/(8k+5)
+    - 1/(8k+6)).  Every term is positive and below 4/(8k+1) 16^-k, so the
+    tail after K terms is below 16^-K."""
+    K = bits // 4 + 1
+    s = sum(Fraction(1, 16 ** k) * (Fraction(4, 8 * k + 1) - Fraction(2, 8 * k + 4)
+                                    - Fraction(1, 8 * k + 5) - Fraction(1, 8 * k + 6))
+            for k in range(K))
+    return s, s + Fraction(1, 16 ** K)
 
 
 def legendre_squares(a: int, p: int) -> int:

@@ -2,7 +2,8 @@ import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from importlib import import_module
+from math import comb, factorial, prod
 
 import pytest
 
@@ -16,6 +17,7 @@ from oracles import (
     bernoulli_akiyama_tanigawa,
     bernoulli_binomial_recurrence,
     gen_bernoulli_series,
+    pi_interval,
     tangent_bernoulli,
 )
 from lemmas import (
@@ -34,6 +36,9 @@ CHI4 = QuadChar(-4)
 CHI5 = QuadChar(5)
 CHI8N = QuadChar(-8)
 PRINCIPAL = QuadChar.principal()
+
+bernoulli_module = import_module("quadcong.bernoulli")  # `from quadcong import bernoulli` is the function
+suite_module = import_module("quadcong.suite")
 
 SMALL_SET = (PRINCIPAL, CHI3, CHI4, CHI5, CHI8N, QuadChar(8), QuadChar(12), QuadChar(13))
 
@@ -405,16 +410,163 @@ def _wilson_request_order():
     ids=["one-call", "wilson-order", "merged-prefix-with-gap"],
 )
 def test_tangent_kernel_writes_only_absent_keys_in_ascending_order(requests, merged_n):
+    """Prefixes (_extend_even, as the B_{n,chi} kernel asks) fill every even
+    key up to their index from the triangle, skipping the merged ones."""
     assert max(requests) == 1460
     oracle = _recurrence_1460()
     cache = BernoulliCache()
     cache._values = _RecordingDict(cache._values)
     cache.merge((n, None, oracle[n]) for n in merged_n)
     for n in requests:
+        cache._extend_even(n)
         assert cache.bernoulli(n) == oracle[n], n
     assert cache._values.written == [(n, None) for n in range(2, 1461, 2) if n not in merged_n]
     for n in range(0, 1461, 2):
         assert cache.get(n, None) == oracle[n], n
+
+
+def test_lone_request_writes_only_its_own_key():
+    """A lone index from _ZETA_MIN up writes its key alone and leaves the
+    triangle empty; one below it fills the prefix, and an odd prefix index
+    stops at the even index below it."""
+    oracle = _recurrence_1460()
+    floor = bernoulli_module._ZETA_MIN
+    cache = BernoulliCache()
+    cache._values = _RecordingDict(cache._values)
+    for n in (1460, 600, 1460, floor):
+        assert cache.bernoulli(n) == oracle[n], n
+    assert cache._values.written == [(1460, None), (600, None), (floor, None)]
+    assert cache._tangent == []
+    assert cache.bernoulli(10) == oracle[10]
+    cache._extend_even(13)
+    assert cache._values.written[3:] == [(n, None) for n in range(2, 13, 2)]
+    assert cache.bernoulli(floor - 2) == oracle[floor - 2]
+    assert cache._values.written[3:] == [(n, None) for n in range(2, floor - 1, 2)]
+
+
+def test_zeta_route_against_binomial_recurrence_oracle():
+    """Every even index from the floor to 1460, asked for lone in descending
+    order, so the triangle never covers one."""
+    oracle = _recurrence_1460()
+    cache = BernoulliCache()
+    for n in range(1460, bernoulli_module._ZETA_MIN - 1, -2):
+        assert cache.bernoulli(n) == oracle[n], n
+    assert cache._tangent == []
+
+
+def test_zeta_route_refuses_bounds_that_pin_no_single_integer(monkeypatch):
+    """With too few guard bits the bounds hold many integers: the route
+    retries once, then raises instead of returning a value."""
+    monkeypatch.setattr(bernoulli_module, "_GUARD_BITS", -45)
+    cache = BernoulliCache()
+    with pytest.raises(ArithmeticError):
+        cache.bernoulli(1000)
+    assert cache.get(1000, None) is None
+    monkeypatch.undo()
+    assert cache.bernoulli(1000) == _recurrence_1460()[1000]
+
+
+def test_von_staudt_clausen_denominator_of_the_zeta_route():
+    for n in range(2, 1461, 2):
+        expected = 1
+        for q in primes_up_to(n + 1):
+            if n % (q - 1) == 0:
+                expected *= q
+        assert bernoulli_module._vsc_denominator(n) == expected, n
+
+
+def test_arctan_series_error_bound_holds():
+    """|arctan(1/k) 2^bits - s| <= e, against the exact partial sum of the
+    series, whose alternating tail is below its first omitted term."""
+    for k in (2, 3, 5, 239):
+        for bits in range(1, 260, 4):
+            s, e = bernoulli_module._arctan_inv(k, bits)
+            J = bits + 20
+            exact = sum(Fraction((-1) ** j, (2 * j + 1) * k ** (2 * j + 1)) for j in range(J))
+            tail = Fraction(1, (2 * J + 1) * k ** (2 * J + 1))
+            assert s - e <= (exact - tail) * 2 ** bits and (exact + tail) * 2 ** bits <= s + e, (k, bits)
+
+
+def test_pi_bounds_hold_pi():
+    for bits in (1, 2, 3, 8, 30, 61, 64, 100, 257, 600):
+        lo, hi = bernoulli_module._pi_bounds(bits)
+        ref_lo, ref_hi = pi_interval(bits + 64)
+        assert lo <= ref_lo * 2 ** bits and ref_hi * 2 ** bits <= hi, bits
+        assert hi - lo <= 3, bits
+
+
+def _zeta_interval(n: int, bits: int) -> tuple[Fraction, Fraction]:
+    """zeta(n) for even n from the oracle's B_n: |B_n| (2 pi)^n / (2 n!)."""
+    b = abs(_recurrence_1460()[n])
+    pi_lo, pi_hi = pi_interval(bits)
+    f = 2 * factorial(n)
+    return b * (2 * pi_lo) ** n / f, b * (2 * pi_hi) ** n / f
+
+
+def test_inverse_zeta_bounds_hold_with_any_prime_cutoff():
+    """lo <= 2^W / zeta(n) <= hi over cutoffs M far below the route's, where
+    a missing prime or tail term shows; hi also bounds the exact partial
+    product over p <= M, and lo that product times 1 - M^(1-n)/(n-1)."""
+    for n in (4, 6, 10, 20, 40, 64):
+        z_lo, z_hi = _zeta_interval(n, 400)
+        for W in (16, 24, 40, 64, 100, 200):
+            for M in (2, 3, 4, 5, 7, 11, 30):
+                lo, hi = bernoulli_module._inv_zeta_bounds(n, W, M)
+                assert lo * z_hi <= 2 ** W <= hi * z_lo, (n, W, M)
+                partial = 2 ** W * prod(1 - Fraction(1, p ** n) for p in primes_up_to(M))
+                assert partial <= hi and lo <= partial * (1 - Fraction(1, (n - 1) * M ** (n - 1))), (n, W, M)
+
+
+def test_four_over_pi_powers_hold_the_power():
+    """lo <= (4/pi)^n 2^W <= hi, read from a table built at a higher
+    precision (shifted down) and at the precision itself."""
+    pi_lo, pi_hi = pi_interval(600)
+    cache = BernoulliCache()
+    for W in (400, 8, 13, 32, 50, 64, 99, 128, 255, 256):
+        for n in list(range(1, 70)) + [127, 128, 255, 300]:
+            lo, hi = cache._four_over_pi_pow(n, W)
+            assert lo <= (4 / pi_hi) ** n * 2 ** W and (4 / pi_lo) ** n * 2 ** W <= hi, (n, W)
+    assert cache._pi_powers[0] == 400
+    fresh = BernoulliCache()
+    for n in (1, 2, 3, 7, 64, 300):
+        lo, hi = fresh._four_over_pi_pow(n, 70)
+        assert lo <= (4 / pi_hi) ** n * 2 ** 70 and (4 / pi_lo) ** n * 2 ** 70 <= hi, n
+    assert fresh._pi_powers[0] == 70
+
+
+def test_kernel_prefixes_come_from_the_triangle_whatever_the_parity(monkeypatch):
+    """A B_{n,chi} call reads the plain B_j of its index rows from the
+    triangle, also past _ZETA_MIN, and leaves the plain entries up to its
+    largest index whatever chi's parity."""
+    entered = []
+    zeta = BernoulliCache._bernoulli_zeta
+    monkeypatch.setattr(BernoulliCache, "_bernoulli_zeta",
+                        lambda self, n: entered.append(n) or zeta(self, n))
+    top = bernoulli_module._ZETA_MIN + 1
+    plain = []
+    for chi in (CHI3, CHI5):  # odd, even
+        cache = BernoulliCache()
+        got = cache.gen_bernoulli_many((4, top), chi)
+        assert got == [gen_bernoulli_series(n, chi.conductor, chi) for n in (4, top)]
+        plain.append(sorted(n for n, disc, _ in cache.entries() if disc is None))
+    assert plain[0] == plain[1] == [0, 1] + list(range(2, top, 2))
+    assert entered == []
+
+
+def test_serial_thm1_scan_reads_only_the_triangle(monkeypatch):
+    """On a fresh cache, the serial d <= 2000, p <= 200 scan's plain values
+    all come from the prefixes its B_{n,chi} kernel builds."""
+    fresh = BernoulliCache()
+    monkeypatch.setattr(bernoulli_module, "DEFAULT_CACHE", fresh)
+    monkeypatch.setattr(suite_module, "DEFAULT_CACHE", fresh)
+    entered = []
+    zeta = BernoulliCache._bernoulli_zeta
+    monkeypatch.setattr(BernoulliCache, "_bernoulli_zeta",
+                        lambda self, n: entered.append(n) or zeta(self, n))
+    result = suite_module.scan(suite_module.ScanConfig(suite_module.THM1, d_max=2000, p_max=200))
+    assert len(result.reports) == 1089 and not result.errors
+    assert entered == []
+    assert fresh._tangent and max(n for n, disc, _ in fresh.entries() if disc is None) == 296
 
 
 def test_computed_plain_values_do_not_read_merged_ones():

@@ -403,6 +403,61 @@ def test_entry_valid_bounds_the_discriminant_before_factoring_it(tmp_path):
     assert load_cache(str(tmp_path), BernoulliCache()) == (1, 0)
 
 
+def test_cache_refuses_an_overlong_digit_string_before_parsing(tmp_path, monkeypatch):
+    """A 100k-digit numerator passes every shape check, but it is longer
+    than any B_{2,chi_5} can be, so it is refused before int() reads it,
+    with the digit guard lifted as main lifts it.  Every entry of a real
+    thm1 cache still loads, the longest numerator (846 digits and a sign)
+    included."""
+    path = tmp_path / CACHE_FILE
+    path.write_text(json.dumps({"version": CACHE_VERSION, "entries": [
+        {"n": 2, "disc": 5, "num": "7" * 100_000, "den": "1"}]}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        t0 = time.perf_counter()
+        assert load_cache(str(tmp_path), BernoulliCache()) == (0, 1)
+        assert time.perf_counter() - t0 < 0.01
+    finally:
+        sys.set_int_max_str_digits(limit)
+    from quadcong.suite import THM1, ScanConfig, scan
+
+    fresh = _fresh_default_cache(monkeypatch)
+    scan(ScanConfig(THM1, d_max=2000, p_max=200))
+    store_cache(str(tmp_path), fresh)
+    entries = json.loads(path.read_text())["entries"]
+    assert max(len(e["num"]) for e in entries) == 847
+    assert load_cache(str(tmp_path), BernoulliCache()) == (len(entries), 0)
+
+
+def test_calls_without_config_share_one_parser(monkeypatch, capsys):
+    import quadcong.cli as cli_module
+
+    built = []
+    build = cli_module.build_parser
+    monkeypatch.setattr(cli_module, "build_parser", lambda argv=None: built.append(build(argv)) or built[-1])
+    for argv in (["bernoulli", "--n", "4"], ["lfun", "--p", "7"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert len(built) == 2 and built[0] is built[1]
+
+
+def test_config_call_leaves_later_calls_as_a_fresh_interpreter_runs_them(tmp_path, capsys):
+    """A --config parser gets the file's defaults and loses `required`; the
+    calls around it use the shared parser, which keeps neither."""
+    conf = tmp_path / "scan.conf"
+    conf.write_text("k-max=1\nn=12\n")
+    argv = ["scan", "lehmer2", "--p-max", "13"]
+    _, before, _ = run_cli(capsys, *argv)
+    _, configured, _ = run_cli(capsys, "--config", str(conf), *argv)
+    assert len(configured.splitlines()) < len(before.splitlines())
+    code, after, _ = run_cli(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    fresh = subprocess.run([sys.executable, "-m", "quadcong.cli", *argv],
+                           env=env, capture_output=True, check=True, text=True)
+    assert code == 0 and after == before == fresh.stdout
+    assert run_cli(capsys, "bernoulli")[0] == 2  # --n is required again
+
+
 def test_cached_plain_value_never_reaches_a_character_value(tmp_path, capsys, monkeypatch):
     """A plain entry with a wrong B_12 passes every shape and denominator
     check; it is dropped on load, so B_{18,chi_8}, which is built from B_12,

@@ -7,30 +7,26 @@ Conventions matter here and are easy to get wrong:
   its index-1 value is +1/2 while agreeing with B_n everywhere else.
   It is answered from the plain values and has no cache key of its own.
 
-Plain even B_n take one of two routes, chosen by what the caller asks for.
-A prefix, every B_j for j <= n, comes from tangent numbers (Brent &
-Harvey, arXiv:1108.0286) in integers: _extend_even(n) extends the
-triangle, and the B_{n,chi} kernel's rows read it.  A lone index n >=
-_ZETA_MIN that is not yet cached (the Wilson checks, lfun, the rows of a
-principal character, `bernoulli --n`) comes from zeta(n) instead, and only
-its own key is written: B_n = N/D with D the von Staudt-Clausen
-denominator, and N an integer that fixed-point bounds on
-2 n! D zeta(n) / (2 pi)^n, every rounding directed outward, pin down
-(Fillebrown, J. Algorithms 13, 1992).  The value is returned only when
-exactly one integer lies between the bounds; otherwise the route retries
-with more guard bits and then raises ArithmeticError.  So both routes
-give exact values.  B_{n,chi} come from integer power sums of
-chi over half the range, 1 <= a < f/2, by the reflection
-B_n(1-x) = (-1)^n B_n(x); it also makes B_{n,chi} exactly 0 when
-chi(-1) != (-1)^n.  Indices asked for together share one walk over the
-powers.  The terms of each index are added in integers, in Horner form in
-f^2, over a row of C(n,j) L B_j that depends on n alone: it is built once
-per index and shared by every character.  The depth-2 checks ask for r
-and 3r, which share a parity.  Phase 1 of a scan (suite.scan) asks once
-per non-principal character for every r and 3r of its grid, in this
-process or in forked workers that return the values for it to merge, so
-a scan walks each character once.  chi is tabulated on the process-wide
-smallest-prime-factor sieve and evaluated only at primes.
+Plain B_0, B_1 and B_2 are seeded, odd B_n above 1 are 0, and every other
+even B_n comes from zeta(n), which writes its own key alone: B_n = N/D
+with D the von Staudt-Clausen denominator, and N an integer that
+fixed-point bounds on 2 n! D zeta(n) / (2 pi)^n, every rounding directed
+outward, pin down (Fillebrown, J. Algorithms 13, 1992).  The value is
+returned only when exactly one integer lies between the bounds; otherwise
+the route retries with more guard bits and then raises ArithmeticError.
+So every plain value is exact, and none is built from another cached one.
+
+B_{n,chi} come from integer power sums of chi over half the range,
+1 <= a < f/2, by the reflection B_n(1-x) = (-1)^n B_n(x); it also makes
+B_{n,chi} exactly 0 when chi(-1) != (-1)^n.  Indices asked for together
+share one walk over the powers.  The terms of each index are added in
+integers, in Horner form in f^2, over a row of C(n,j) L B_j that depends
+on n alone: it is built once per index and shared by every character.  The
+depth-2 checks ask for r and 3r, which share a parity.  Phase 1 of a scan
+(suite.scan) asks once per non-principal character for every r and 3r of
+its grid, in this process or in forked workers that return the values for
+it to merge, so a scan walks each character once.  chi is tabulated on the
+process-wide smallest-prime-factor sieve and evaluated only at primes.
 """
 from __future__ import annotations
 
@@ -43,17 +39,6 @@ from operator import floordiv, mul
 from .characters import QuadChar, char_values
 from .primes import divisors, factorize, is_prime, primes_up_to
 
-# Lone even indices from here up come from zeta(n), smaller ones from the
-# tangent triangle.  Below it the triangle is cheap (3.3 ms for every index
-# up to 298) and zeta(n) gains little: the Euler product needs the primes up
-# to about 2^(W/(n-1)), more of them as n falls.  The 229 distinct indices
-# of a Wilson scan with p <= 300, k <= 5, asked for lone in scan order, cost
-# 101-111 ms (median of 15) with a floor anywhere from 40 to 300, 118 ms
-# with 600, and 336 ms from the triangle alone (2 vCPU, CPython 3.11).  At
-# 300 the B_{n,chi} grids with p <= 200, whose indices stop at 297, keep
-# reading the triangle for their principal rows too.
-_ZETA_MIN = 300
-
 # Guard bits of the zeta route, on top of n.bit_length(); doubled on retry.
 _GUARD_BITS = 16
 
@@ -63,27 +48,24 @@ class BernoulliCache:
 
     Reads are lock-free; writes are serialized so threads can share one
     instance.  Scan workers are forked processes, each with its own copy.
-    Entries are never evicted.  `bernoulli(n)` serves a lone plain index:
-    below _ZETA_MIN it extends the tangent triangle (every smaller index
-    comes with it), from there up it certifies B_n from zeta(n) and writes
-    that key alone (_bernoulli_zeta).  A prefix of plain values, as the
-    B_{n,chi} kernel needs, comes from _extend_even.  Besides the values,
-    the cache keeps three kinds of scratch state, which are never stored,
-    merged or returned as entries: the last column of the tangent-number
-    triangle, so asking for a larger prefix extends it instead of starting
-    over; the bounds of pi and of (4/pi)^(2^i) at the zeta route's working
-    precision, rebuilt only when that precision doubles; and the row of
-    C(n,j) L B_j of each index n the B_{n,chi} kernel has used (see
-    _binomial_row), so later characters reuse it.  `len` and `entries`
-    count and list cached values only.
+    Entries are never evicted.  `bernoulli(n)` answers a plain index from
+    the seeds or the cache, or certifies it from zeta(n) (_bernoulli_zeta).
+    Besides the values, the cache keeps two kinds of scratch state, which
+    are never stored, merged or returned as entries: the bounds of pi and
+    of (4/pi)^(2^i) at the zeta route's working precision, rebuilt only
+    when that precision doubles; and the row of C(n,j) L B_j of each index
+    n the B_{n,chi} kernel has used (see _binomial_row), so later
+    characters reuse it.  `len` and `entries` count and list cached values
+    only.
     """
 
     def __init__(self) -> None:
         self._values: dict[tuple[int, int | None], Fraction] = {
             (0, None): Fraction(1),
             (1, None): Fraction(-1, 2),
+            # zeta(2)'s Euler product would sieve the primes up to 2^W
+            (2, None): Fraction(1, 6),
         }
-        self._tangent: list[int] = []
         self._pi_powers: tuple[int, list[tuple[int, int]]] = (0, [])
         self._rows: dict[int, tuple[int, list[int], int]] = {}
         self._lock = threading.RLock()
@@ -111,46 +93,15 @@ class BernoulliCache:
     def bernoulli(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("Bernoulli index must be >= 0")
-        if n == 0:
-            return Fraction(1)
-        if n == 1:
-            return Fraction(-1, 2)
-        if n % 2 == 1:
+        if n > 1 and n % 2 == 1:
             return Fraction(0)
         got = self._values.get((n, None))
         if got is not None:
             return got
         with self._lock:
-            if n < _ZETA_MIN:
-                self._extend_even(n)
-            elif (n, None) not in self._values:
+            if (n, None) not in self._values:
                 self._values[(n, None)] = self._bernoulli_zeta(n)
             return self._values[(n, None)]
-
-    def _extend_even(self, n: int) -> None:
-        """Make every B_j with j <= n a cache hit: the prefix entry point.
-
-        Brent-Harvey tangent numbers, in Python integers and incrementally.
-        self._tangent is column j of the tangent triangle: the values its
-        entry j takes, from (j-1)! through passes 2..j, so the last is T_j.
-        Column j + 1 needs only column j, so a larger n costs only the new
-        columns, and B_{2j} = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) reads no
-        cached B_m: a wrong merged value cannot spread.  Only absent keys
-        are written, in ascending order, so merged values stay and a gap
-        is filled.
-        """
-        with self._lock:
-            col = self._tangent
-            while 2 * len(col) + 2 <= n:
-                j = len(col) + 1
-                prev = 0
-                for k in range(j - 1):
-                    prev = col[k] = (j - 1 - k) * col[k] + (j + 1 - k) * prev
-                col.append(2 * prev if j > 1 else 1)
-                if (2 * j, None) not in self._values:
-                    q = 4 ** j
-                    t = col[-1] if j % 2 else -col[-1]
-                    self._values[(2 * j, None)] = Fraction(2 * j * t, q * (q - 1))
 
     def _bernoulli_zeta(self, n: int) -> Fraction:
         """B_n for even n >= 4 from zeta(n), certified; the lock is held.
@@ -242,7 +193,6 @@ class BernoulliCache:
             with self._lock:
                 got = self._rows.get(n)
                 if got is None:
-                    self._extend_even(n)
                     bs = [self.bernoulli(j) for j in range(n + 1)]
                     L = lcm(*(b.denominator for b in bs))
                     even = [comb(n, j) * bs[j].numerator * (L // bs[j].denominator)
@@ -267,12 +217,7 @@ class BernoulliCache:
         # common denominator), k = n - j running upward:
         #   acc = acc * f^2 + E_n[i] T_k,
         # then the j = 1 term n L B_1 f T_{n-1}, and one division per index.
-        # Building a row asks for every B_j up to its index, and the loop
-        # asks for the rest up to the largest index, so a request leaves the
-        # same plain entries in the cache, in ascending order, whatever chi's
-        # parity.
         rows = {n: self._binomial_row(n) for n in ns if chi.parity == (-1) ** n}
-        self._extend_even(max(ns))
         if not rows:
             return [Fraction(0)] * len(ns)
         f = chi.conductor

@@ -71,10 +71,19 @@ def _max_digits(n: int, disc: int) -> int:
     return int((lgamma(n + 1) + 1) / log(10) + (n + 1) * log10(4 * f)) + 2
 
 
+def _json_int(literal: str) -> int | str:
+    """json.load's parse_int: a literal of at most 10 digits, sign aside (so
+    every |disc| < 2^32), becomes an int; a longer one stays a string, so a
+    long num or den meets _max_digits before int() reads it, and a long n
+    or disc is refused as no int."""
+    return int(literal) if len(literal.removeprefix("-")) <= 10 else literal
+
+
 def _cache_int(x, max_digits: int) -> int | None:
-    """A stored num or den: a non-bool int or the decimal string store_cache
-    writes, of at most max_digits digits.  A longer string is refused before
-    int() reads it, since reading is quadratic in its length."""
+    """A stored num or den: a non-bool int or a decimal string (as
+    store_cache writes it, or a literal _json_int left alone), of at most
+    max_digits digits.  A longer string is refused before int() reads it,
+    since reading is quadratic in its length."""
     if isinstance(x, str):
         digits = x.removeprefix("-")
         if len(digits) <= max_digits and digits.isdecimal() and str(int(x)) == x:
@@ -111,7 +120,7 @@ def load_cache(cache_dir: str, cache: BernoulliCache | None = None) -> tuple[int
         return 0, 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_int=_json_int)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"warning: unreadable cache file {path}: {exc}", file=sys.stderr)
         return 0, 0

@@ -1,13 +1,14 @@
 """Independent reference implementations used only as test oracles.
 
-Nothing here may import from the algorithm paths it is used to check:
-Bernoulli numbers come from the Akiyama-Tanigawa triangle and from the
-binomial recurrence, symbols from literal square enumeration, power sums
-from literal summation, units from exhaustive search, class numbers
-from ideal enumeration with principality decided by norm-form scans.
-`tangent_bernoulli` uses the same tangent-number method as production,
-so it checks the incremental bookkeeping, not the method; independence
-for plain B_n rests on the other two.  `a_coefficients_literal` reads
+Nothing here may import from the algorithm paths it is used to check;
+the only production modules imported are `quadcong.characters` and
+`quadcong.padic`, which tests/test_oracle_independence.py enforces.
+Bernoulli numbers come from the Akiyama-Tanigawa triangle, the binomial
+recurrence and tangent numbers (`tangent_bernoulli`), three methods that
+production, which certifies plain B_n from zeta(n), does not use; symbols
+from literal square enumeration, power sums from literal summation, units
+from exhaustive search, class numbers from ideal enumeration with
+principality decided by norm-form scans.  `a_coefficients_literal` reads
 production's character table and Fermat quotient, both checked on their
 own elsewhere, and sums the L-series terms one `Fraction` at a time.
 `pi_interval` uses the Bailey-Borwein-Plouffe series, not production's

@@ -38,7 +38,6 @@ CHI8N = QuadChar(-8)
 PRINCIPAL = QuadChar.principal()
 
 bernoulli_module = import_module("quadcong.bernoulli")  # `from quadcong import bernoulli` is the function
-suite_module = import_module("quadcong.suite")
 
 SMALL_SET = (PRINCIPAL, CHI3, CHI4, CHI5, CHI8N, QuadChar(8), QuadChar(12), QuadChar(13))
 
@@ -367,19 +366,25 @@ class _RecordingDict(dict):
 
 def test_merged_plain_values_are_not_recomputed():
     source = BernoulliCache()
-    source.bernoulli(204)
+    for n in range(0, 205, 2):
+        source.bernoulli(n)
     fresh = BernoulliCache()
     fresh._values = _RecordingDict(fresh._values)
     fresh.merge(e for e in source.entries() if e[0] <= 200)
+    for n in range(0, 201, 2):
+        assert fresh.bernoulli(n) == source.get(n, None), n
     assert fresh.bernoulli(202) == source.bernoulli(202)
     assert fresh._values.written == [(202, None)]
-    # a gap (say, a rejected cache entry) is filled, nothing else is rewritten
+    # a gap (say, a rejected cache entry) is filled by the first request for
+    # it, and nothing else is rewritten
     gappy = BernoulliCache()
     gappy._values = _RecordingDict(gappy._values)
     gappy.merge(e for e in source.entries() if e[0] <= 200 and e[0] != 100)
     assert gappy.bernoulli(204) == source.bernoulli(204)
-    assert gappy._values.written == [(100, None), (202, None), (204, None)]
-    assert gappy.get(100, None) == source.get(100, None)
+    assert gappy._values.written == [(204, None)]
+    assert gappy.get(100, None) is None
+    assert gappy.bernoulli(100) == source.get(100, None)
+    assert gappy._values.written == [(204, None), (100, None)]
 
 
 @lru_cache(maxsize=None)
@@ -396,62 +401,40 @@ def test_bernoulli_against_binomial_recurrence_oracle():
         assert cache.bernoulli(n) == oracle[n], n
 
 
-def _wilson_request_order():
-    return [k * (p - 1) for p in primes_up_to(300) if p >= 7 for k in range(1, 6)]
-
-
-@pytest.mark.parametrize(
-    "requests, merged_n",
-    [
-        ([1460], ()),
-        (_wilson_request_order(), ()),
-        ([1460], [n for n in range(2, 601, 2) if n != 300]),
-    ],
-    ids=["one-call", "wilson-order", "merged-prefix-with-gap"],
-)
-def test_tangent_kernel_writes_only_absent_keys_in_ascending_order(requests, merged_n):
-    """Prefixes (_extend_even, as the B_{n,chi} kernel asks) fill every even
-    key up to their index from the triangle, skipping the merged ones."""
-    assert max(requests) == 1460
-    oracle = _recurrence_1460()
-    cache = BernoulliCache()
-    cache._values = _RecordingDict(cache._values)
-    cache.merge((n, None, oracle[n]) for n in merged_n)
-    for n in requests:
-        cache._extend_even(n)
-        assert cache.bernoulli(n) == oracle[n], n
-    assert cache._values.written == [(n, None) for n in range(2, 1461, 2) if n not in merged_n]
-    for n in range(0, 1461, 2):
-        assert cache.get(n, None) == oracle[n], n
-
-
 def test_lone_request_writes_only_its_own_key():
-    """A lone index from _ZETA_MIN up writes its key alone and leaves the
-    triangle empty; one below it fills the prefix, and an odd prefix index
-    stops at the even index below it."""
+    """Every even index past the seeds writes its own key alone, in any
+    order; an odd index and a repeated one write nothing."""
     oracle = _recurrence_1460()
-    floor = bernoulli_module._ZETA_MIN
     cache = BernoulliCache()
     cache._values = _RecordingDict(cache._values)
-    for n in (1460, 600, 1460, floor):
+    for n in (1460, 600, 1460, 300, 10, 13, 298, 4):
         assert cache.bernoulli(n) == oracle[n], n
-    assert cache._values.written == [(1460, None), (600, None), (floor, None)]
-    assert cache._tangent == []
-    assert cache.bernoulli(10) == oracle[10]
-    cache._extend_even(13)
-    assert cache._values.written[3:] == [(n, None) for n in range(2, 13, 2)]
-    assert cache.bernoulli(floor - 2) == oracle[floor - 2]
-    assert cache._values.written[3:] == [(n, None) for n in range(2, floor - 1, 2)]
+    assert cache._values.written == [(n, None) for n in (1460, 600, 300, 10, 298, 4)]
 
 
 def test_zeta_route_against_binomial_recurrence_oracle():
-    """Every even index from the floor to 1460, asked for lone in descending
-    order, so the triangle never covers one."""
+    """Every even index from 1460 down to 2, asked for lone in descending
+    order (ascending is test_bernoulli_against_binomial_recurrence_oracle)."""
     oracle = _recurrence_1460()
     cache = BernoulliCache()
-    for n in range(1460, bernoulli_module._ZETA_MIN - 1, -2):
+    for n in range(1460, 1, -2):
         assert cache.bernoulli(n) == oracle[n], n
-    assert cache._tangent == []
+
+
+def test_seeded_index_2_never_enters_the_zeta_route(monkeypatch):
+    """B_2 is seeded beside B_0 and B_1: zeta(2)'s Euler product would sieve
+    the primes up to 2^W.  Neither bernoulli(2) nor a B_{n,chi} call whose
+    top index is 2 computes it."""
+    entered = []
+    zeta = BernoulliCache._bernoulli_zeta
+    monkeypatch.setattr(BernoulliCache, "_bernoulli_zeta",
+                        lambda self, n: entered.append(n) or zeta(self, n))
+    cache = BernoulliCache()
+    assert cache.bernoulli(2) == Fraction(1, 6)
+    for chi in (CHI5, CHI8N, PRINCIPAL):
+        got = cache.gen_bernoulli_many((0, 1, 2), chi)
+        assert got == [gen_bernoulli_series(n, chi.conductor, chi) for n in (0, 1, 2)], chi
+    assert entered == []
 
 
 def test_zeta_route_refuses_bounds_that_pin_no_single_integer(monkeypatch):
@@ -534,39 +517,13 @@ def test_four_over_pi_powers_hold_the_power():
     assert fresh._pi_powers[0] == 70
 
 
-def test_kernel_prefixes_come_from_the_triangle_whatever_the_parity(monkeypatch):
-    """A B_{n,chi} call reads the plain B_j of its index rows from the
-    triangle, also past _ZETA_MIN, and leaves the plain entries up to its
-    largest index whatever chi's parity."""
-    entered = []
-    zeta = BernoulliCache._bernoulli_zeta
-    monkeypatch.setattr(BernoulliCache, "_bernoulli_zeta",
-                        lambda self, n: entered.append(n) or zeta(self, n))
-    top = bernoulli_module._ZETA_MIN + 1
-    plain = []
+def test_kernel_prefixes_come_from_the_triangle_whatever_the_parity():
+    """A B_{n,chi} call past index 300 equals the series oracle on an odd
+    and on an even character; its index rows read every plain B_j up to
+    their index, each from zeta(j)."""
     for chi in (CHI3, CHI5):  # odd, even
-        cache = BernoulliCache()
-        got = cache.gen_bernoulli_many((4, top), chi)
-        assert got == [gen_bernoulli_series(n, chi.conductor, chi) for n in (4, top)]
-        plain.append(sorted(n for n, disc, _ in cache.entries() if disc is None))
-    assert plain[0] == plain[1] == [0, 1] + list(range(2, top, 2))
-    assert entered == []
-
-
-def test_serial_thm1_scan_reads_only_the_triangle(monkeypatch):
-    """On a fresh cache, the serial d <= 2000, p <= 200 scan's plain values
-    all come from the prefixes its B_{n,chi} kernel builds."""
-    fresh = BernoulliCache()
-    monkeypatch.setattr(bernoulli_module, "DEFAULT_CACHE", fresh)
-    monkeypatch.setattr(suite_module, "DEFAULT_CACHE", fresh)
-    entered = []
-    zeta = BernoulliCache._bernoulli_zeta
-    monkeypatch.setattr(BernoulliCache, "_bernoulli_zeta",
-                        lambda self, n: entered.append(n) or zeta(self, n))
-    result = suite_module.scan(suite_module.ScanConfig(suite_module.THM1, d_max=2000, p_max=200))
-    assert len(result.reports) == 1089 and not result.errors
-    assert entered == []
-    assert fresh._tangent and max(n for n, disc, _ in fresh.entries() if disc is None) == 296
+        got = BernoulliCache().gen_bernoulli_many((4, 301), chi)
+        assert got == [gen_bernoulli_series(n, chi.conductor, chi) for n in (4, 301)]
 
 
 def test_computed_plain_values_do_not_read_merged_ones():

@@ -430,6 +430,29 @@ def test_cache_refuses_an_overlong_digit_string_before_parsing(tmp_path, monkeyp
     assert load_cache(str(tmp_path), BernoulliCache()) == (len(entries), 0)
 
 
+def test_cache_refuses_an_overlong_integer_literal_before_parsing(tmp_path):
+    """A 100k-digit num written as a JSON integer literal, not a string,
+    stays a string through json.load, so it meets the digit bound and is
+    refused before int() reads it, with the digit guard lifted as main
+    lifts it; a 100k-digit n is no index.  A short literal still loads."""
+    big = "7" * 100_000
+    (tmp_path / CACHE_FILE).write_text(
+        f'{{"version": {CACHE_VERSION}, "entries": ['
+        f'{{"n": 2, "disc": 5, "num": {big}, "den": 1}}, '
+        f'{{"n": {big}, "disc": 5, "num": 0, "den": 1}}, '
+        f'{{"n": 2, "disc": 5, "num": 4, "den": 5}}]}}')
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        fresh = BernoulliCache()
+        t0 = time.perf_counter()
+        assert load_cache(str(tmp_path), fresh) == (1, 2)
+        assert time.perf_counter() - t0 < 0.01
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert fresh.get(2, 5) == Fraction(4, 5)
+
+
 def test_calls_without_config_share_one_parser(monkeypatch, capsys):
     import quadcong.cli as cli_module
 

@@ -121,7 +121,7 @@ def load_cache(cache_dir: str, cache: BernoulliCache | None = None) -> tuple[int
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh, parse_int=_json_int)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"warning: unreadable cache file {path}: {exc}", file=sys.stderr)
         return 0, 0
     if not (isinstance(payload, dict) and payload.get("version") == CACHE_VERSION

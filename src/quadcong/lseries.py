@@ -171,7 +171,8 @@ def lp_interp_value(n: int, split: CharacterSplit) -> Fraction:
             f"quadratic values need n = (p-1)/2 mod (p-1); n={n}, p={p}"
         )
     psi = split.psi
-    return -(1 - psi(p) * Fraction(p) ** (n - 1)) * gen_bernoulli(n, psi) / n
+    b = gen_bernoulli(n, psi)
+    return Fraction((psi(p) * p ** (n - 1) - 1) * b.numerator, n * b.denominator)
 
 
 def lp1_via_class_number(inv: FieldInvariants, p: int) -> Fraction:
@@ -188,4 +189,5 @@ def lp1_via_class_number(inv: FieldInvariants, p: int) -> Fraction:
             f"p = {p} divides t for d = {inv.d}: impossible for a unit at p | d; "
             "the invariants record is corrupt"
         )
-    return Fraction(2 * inv.h, inv.delta) * unit_log_series(inv.d, inv.t, inv.u, 1)
+    series = unit_log_series(inv.d, inv.t, inv.u, 1)
+    return Fraction(2 * inv.h * series.numerator, inv.delta * series.denominator)

@@ -7,7 +7,7 @@ rational difference.  Floating point is never consulted.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 from .primes import is_prime
 
@@ -38,8 +38,18 @@ def vp(x: Fraction | int, p: int) -> int | float:
 
 def difference_verdict(a: Fraction | int, b: Fraction | int, p: int,
                        depth: int) -> tuple[int | float, bool]:
-    """(v_p(a - b), v_p(a - b) >= depth): the one congruence decision."""
-    v = vp(Fraction(a) - Fraction(b), p)
+    """(v_p(a - b), v_p(a - b) >= depth): the one congruence decision.
+
+    The valuation is read off the unreduced difference
+    (a_num b_den - b_num a_den) / (a_den b_den); it does not depend on the
+    representation, so no gcd of the large integers is taken.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    num = a.numerator * b.denominator - b.numerator * a.denominator
+    if num == 0:
+        return INF, True
+    v = _int_vp(num, p) - _int_vp(a.denominator, p) - _int_vp(b.denominator, p)
     return v, v >= depth
 
 
@@ -63,13 +73,12 @@ def unit_log_series(d: int, t: int, u: int, n_max: int) -> Fraction:
         raise ValueError("unit_log_series needs t != 0")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    x = Fraction(u, t)
-    x2 = x * x
-    total = Fraction(0)
-    dn = 1
-    xp = x
+    # over the common denominator lcm(1, 3, .., 2 n_max + 1) t^(2 n_max + 1):
+    # u sum_n (lcm/(2n+1)) (d u^2)^n (t^2)^(n_max - n), summed Horner-wise in t^2
+    L = lcm(*range(1, 2 * n_max + 2, 2))
+    t2, du2 = t * t, d * u * u
+    acc, power = 0, 1
     for n in range(n_max + 1):
-        total += Fraction(dn, 2 * n + 1) * xp
-        dn *= d
-        xp *= x2
-    return total
+        acc = acc * t2 + (L // (2 * n + 1)) * power
+        power *= du2
+    return Fraction(u * acc, L * t ** (2 * n_max + 1))

@@ -5,9 +5,12 @@ of sqrt(d) (or (1+sqrt(d))/2 when d = 1 mod 4, which is essential: the
 sqrt(d) expansion can return the cube of the fundamental unit there).
 Class numbers come from counting reduction cycles of indefinite binary
 quadratic forms, a route that shares no code with the unit computation
-or with the congruence machinery it later gets compared against.  The
-reduced forms come from one b-scan whose products (D - b^2)/4 are
-factored by a root sieve at every size of D.
+or with the congruence machinery it later gets compared against.  Only
+the reduced forms with a > 0 are enumerated, and class_number walks them
+by rho^2: the reduction step rho flips the sign of a, so each rho-cycle
+holds exactly one rho^2-orbit of them.  They come from one b-scan over
+the products (D - b^2)/4: a window test of each candidate a for D below
+_WINDOW_MAX_D, a root sieve above it.
 """
 from __future__ import annotations
 
@@ -126,16 +129,46 @@ def _reduction_step(form: tuple[int, int, int], D: int, s: int) -> tuple[int, in
     return c, b2, (b2 * b2 - D) // (4 * c)
 
 
-def _reduced_forms(D: int) -> set[tuple[int, int, int]]:
-    """All reduced indefinite forms of discriminant D, via the b-scan.
+# Below this discriminant the window test is the cheaper enumeration.  Per D,
+# best of three over 20 D of each size, 2 vCPUs, CPython 3.11, window against
+# sieve: 0.04-0.07 against 0.10-0.15 ms near D = 4000, 0.29-0.31 against
+# 0.32-0.34 ms near 40000, 0.36-0.38 against 0.34-0.37 ms near 48000, and
+# 43-45 against 4.1-4.2 ms near 4 * 10^6.
+_WINDOW_MAX_D = 40000
 
-    For every admissible b the middle coefficient pins a*c = (b^2 - D)/4.
-    With s = isqrt(D), a divisor a > 0 of that product with 2a <= s + b
-    always has (2a - b)^2 < D, so it gives the reduced forms (a, b, c) and
-    (-a, b, -c) exactly when 2a + b > s; larger divisors are never built.
-    The products are factored all at once by a root sieve over b, at every
-    size of D, and each factor map is dropped once its forms are built.
+
+def _reduced_forms(D: int) -> set[tuple[int, int, int]]:
+    """The reduced indefinite forms (a, b, c) of discriminant D with a > 0.
+
+    The other half of the reduced forms are their mirrors (-a, b, -c), which
+    class_number never needs.  For every admissible b the middle coefficient
+    pins a*c = (b^2 - D)/4.  With s = isqrt(D), a divisor a > 0 of that
+    product with 2a <= s + b always has (2a - b)^2 < D, so it gives the
+    reduced form (a, b, c) exactly when 2a + b > s.  Two enumerations find
+    those divisors, chosen from D alone: below _WINDOW_MAX_D a window test
+    tries every a with s - b < 2a <= s + b, and above it a root sieve
+    factors all the products at once (_sieved_forms).
     """
+    if D < _WINDOW_MAX_D:
+        return _window_forms(D)
+    return _sieved_forms(D)
+
+
+def _window_forms(D: int) -> set[tuple[int, int, int]]:
+    """_reduced_forms by testing each a of the window s - b < 2a <= s + b."""
+    s = isqrt(D)
+    forms: set[tuple[int, int, int]] = set()
+    for b in range(2 - D % 2, s + 1, 2):  # b = D mod 2
+        N = (D - b * b) // 4
+        for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
+            if N % a == 0:
+                forms.add((a, b, -(N // a)))
+    return forms
+
+
+def _sieved_forms(D: int) -> set[tuple[int, int, int]]:
+    """_reduced_forms from a root sieve over b: only divisors 2a <= s + b are
+    built, and each factor map is dropped once its forms are built."""
     s = isqrt(D)
     fac_of = _sieve_factored_bscan(D, list(range(2 - D % 2, s + 1, 2)))  # b = D mod 2
     forms: set[tuple[int, int, int]] = set()
@@ -144,9 +177,7 @@ def _reduced_forms(D: int) -> set[tuple[int, int, int]]:
         N = (D - b * b) // 4
         for a in divisors(fac, (s + b) // 2):
             if 2 * a + b > s:
-                c = -(N // a)
-                forms.add((a, b, c))
-                forms.add((-a, b, -c))
+                forms.add((a, b, -(N // a)))
     return forms
 
 
@@ -201,29 +232,33 @@ class ClassNumber(NamedTuple):
 def class_number(d: int) -> ClassNumber:
     """(h, h+) by partitioning the reduced forms of disc(Q(sqrt d)) into cycles.
 
-    Each reduction cycle is walked once, the principal cycle of (1, b0, c0)
-    first, removing its forms from one shrinking set; h+ counts the cycles,
-    and a step onto a form not in the set raises.  h = h+ when the unit has
-    norm -1 and h+/2 otherwise.  The norm is read off the same cycles
-    without computing the unit: N(eps) = -1 exactly when the principal
-    cycle also removed (-1, b0, -c0).  Memoized by d for the life of the
-    process.
+    The reduction step rho flips the sign of a, and it commutes with the
+    mirror (a, b, c) -> (-a, b, -c), so every rho-cycle holds exactly one
+    rho^2-orbit of the forms with a > 0, and h+ is the number of those
+    orbits.  Each orbit is walked once by rho^2, the principal one of
+    (1, b0, c0) first, removing its forms from one shrinking set of the
+    a > 0 forms; a step onto a form not in the set raises.  h = h+ when the
+    unit has norm -1 and h+/2 otherwise.  The norm is read off the same
+    walk without computing the unit: N(eps) = -1 exactly when (-1, b0, -c0)
+    lies on the principal cycle, that is when the principal walk also
+    removed rho(-1, b0, -c0).  Memoized by d for the life of the process.
     """
     _delta, D = invariants_shell(d)
     s = isqrt(D)
     forms = _reduced_forms(D)
     b0 = s if (s - D) % 2 == 0 else s - 1
     c0 = (b0 * b0 - D) // 4
+    mirror_step = _reduction_step((-1, b0, -c0), D, s)
     f, h_plus, norm = (1, b0, c0), 0, 1
     while f is not None:
         h_plus += 1
         g = f
         while g in forms:
             forms.remove(g)
-            g = _reduction_step(g, D, s)
+            g = _reduction_step(_reduction_step(g, D, s), D, s)
         if g != f:
             raise AssertionError(f"reduction cycles do not partition the reduced forms for d = {d}")
-        if h_plus == 1 and (-1, b0, -c0) not in forms:
+        if h_plus == 1 and mirror_step not in forms:
             norm = -1
         f = next(iter(forms), None)
     if norm == -1:

@@ -83,7 +83,10 @@ def check_theorem1(d: int, p: int) -> CongruenceReport:
     r = split.r
     lhs = 2 * lp1_via_class_number(field_invariants(d), p)
     _, b3r = gen_bernoulli_many((r, 3 * r), split.psi)  # lp_interp_value reads B_r back
-    rhs = 3 * lp_interp_value(r, split) + b3r / (3 * r)
+    lp = lp_interp_value(r, split)
+    # 3 lp + b3r/(3r) over the denominator 3r lp_den b3r_den
+    rhs = Fraction(9 * r * lp.numerator * b3r.denominator + b3r.numerator * lp.denominator,
+                   3 * r * lp.denominator * b3r.denominator)
     return make_report(THM1, lhs, rhs, p, depth=2, d=d)
 
 
@@ -100,9 +103,11 @@ def check_corollary_exact_division(d: int, p: int) -> CongruenceReport:
     if v != 1:
         raise ValueError(f"statement needs v_p(u) = 1; v_{p}(u) = {v} for d = {d}")
     r = split.r
-    lhs = Fraction(2 * inv.h, inv.delta) * Fraction(inv.u, p * inv.t)
+    lhs = Fraction(2 * inv.h * inv.u, inv.delta * p * inv.t)
     br, b3r = gen_bernoulli_many((r, 3 * r), split.psi)
-    rhs = (3 * br - b3r / 3) / p
+    # (3 br - b3r/3)/p over the denominator 3p br_den b3r_den
+    rhs = Fraction(9 * br.numerator * b3r.denominator - b3r.numerator * br.denominator,
+                   3 * p * br.denominator * b3r.denominator)
     return make_report(COR_EXACT_DIV, lhs, rhs, p, depth=1, d=d)
 
 

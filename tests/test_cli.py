@@ -370,6 +370,17 @@ def test_cache_entries_not_a_list_rebuilds(tmp_path, capsys):
     assert json.loads((tmp_path / CACHE_FILE).read_text())["entries"]
 
 
+def test_cache_file_not_utf8_rebuilds(tmp_path, capsys):
+    """A byte that is no UTF-8 makes the file unreadable: warned about and
+    rebuilt, as for a JSON syntax error, never an aborted command."""
+    (tmp_path / CACHE_FILE).write_bytes(b'{"version": 2, "entries": [\xff]}')
+    assert load_cache(str(tmp_path), BernoulliCache()) == (0, 0)
+    code, out, err = run_cli(capsys, "bernoulli", "--n", "4", "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["value"] == "-1/30"
+    assert "unreadable cache file" in err
+    assert json.loads((tmp_path / CACHE_FILE).read_text())["version"] == CACHE_VERSION
+
+
 def test_entry_validation_rules():
     assert not _entry_valid(12, None, -691, 2730)   # plain B_n are never loaded
     assert not _entry_valid(2, -8, 5, 1)            # odd character: even index vanishes

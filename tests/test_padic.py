@@ -74,6 +74,35 @@ def test_congruent_equivalence_and_depth(x, y, z, p, k):
         assert difference_verdict(x, y, p, k - 1)[1]
 
 
+def _rational_with_p_powers(p, draw):
+    """A rational whose numerator and denominator each carry a power of p."""
+    num = draw(st.integers(-10 ** 6, 10 ** 6)) * p ** draw(st.integers(0, 6))
+    den = draw(st.integers(1, 10 ** 6)) * p ** draw(st.integers(0, 6))
+    return Fraction(num, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.sampled_from((2, 3, 5, 7, 11)), depth=st.integers(0, 4),
+       same=st.booleans())
+def test_difference_verdict_is_the_valuation_of_the_difference(data, p, depth, same):
+    """The unreduced-difference read equals vp of the reduced difference,
+    INF (holding at every depth) when a == b."""
+    a = _rational_with_p_powers(p, data.draw)
+    b = a if same else _rational_with_p_powers(p, data.draw)
+    want = vp(a - b, p)
+    assert difference_verdict(a, b, p, depth) == (want, want >= depth)
+    assert difference_verdict(a.numerator, b, p, depth)[0] == vp(a.numerator - b, p)  # an int side
+    if same:
+        assert difference_verdict(a, b, p, depth) == (INF, True)
+
+
+def test_difference_verdict_rejects_composite_p():
+    with pytest.raises(ValueError):
+        difference_verdict(Fraction(1, 3), 2, 9, 1)
+    with pytest.raises(ValueError):
+        difference_verdict(5, 5, 1, 1)
+
+
 def test_fermat_quotient_examples():
     assert fermat_quotient(2, 5) == 3
     assert type(fermat_quotient(2, 5)) is int

@@ -1,13 +1,18 @@
+import hashlib
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
 
 import pytest
 
 from quadcong.quadfield import (
     FieldInvariants,
+    _WINDOW_MAX_D,
     _reduced_forms,
     _reduction_step,
     _sieve_factored_bscan,
+    _sieved_forms,
+    _window_forms,
     class_number,
     field_invariants,
     fundamental_unit,
@@ -131,14 +136,29 @@ def _is_reduced(form, D):
     return b > 0 and b * b < D and (2 * abs(a) + b) ** 2 > D > (2 * abs(a) - b) ** 2
 
 
+def _brute_reduced_forms(D):
+    """Every reduced form of discriminant D, both signs of a, by exhaustive search."""
+    s = isqrt(D)
+    brute = set()
+    for a in range(-s, s + 1):
+        for b in range(1, s + 1):
+            if a and (b * b - D) % (4 * a) == 0:
+                f = (a, b, (b * b - D) // (4 * a))
+                if _is_reduced(f, D):
+                    brute.add(f)
+    return brute
+
+
 def test_reduced_forms_and_cycles():
     D = 40
     forms = _reduced_forms(D)
-    assert len(forms) == 8
+    assert len(forms) == 4
+    assert forms == {f for f in _brute_reduced_forms(D) if f[0] > 0}
     for f in forms:
         assert _disc(f) == D and _is_reduced(f, D)
         step = _reduction_step(f, D, isqrt(D))
         assert _disc(step) == D and _is_reduced(step, D)
+        assert step[0] < 0 and _reduction_step(step, D, isqrt(D)) in forms  # rho flips a's sign
     # principal form present: (1, 6, -1) since isqrt(40) = 6
     assert (1, 6, -1) in forms
 
@@ -221,15 +241,38 @@ def test_cycle_partition_check_raises(monkeypatch):
 
 
 def test_reduced_forms_match_brute_force_enumeration():
-    """The sieved b-scan finds exactly the reduced forms of a brute-force search."""
+    """The b-scan finds exactly the a > 0 forms of a brute-force search, and
+    the brute-force set is those forms and their mirrors (-a, b, -c)."""
     for d in squarefree_range(2, 120):
         _delta, D = invariants_shell(d)
-        s = isqrt(D)
-        brute = set()
-        for a in range(-s, s + 1):
-            for b in range(1, s + 1):
-                if a and (b * b - D) % (4 * a) == 0:
-                    f = (a, b, (b * b - D) // (4 * a))
-                    if _is_reduced(f, D):
-                        brute.add(f)
-        assert _reduced_forms(D) == brute, d
+        brute = _brute_reduced_forms(D)
+        positive = {f for f in brute if f[0] > 0}
+        assert _reduced_forms(D) == positive, d
+        assert brute == positive | {(-a, b, -c) for a, b, c in positive}, d
+
+
+def test_window_test_and_root_sieve_agree_across_the_switch():
+    """Both enumerations give the same forms on both sides of _WINDOW_MAX_D,
+    and the brute-force set for small D."""
+    small = [invariants_shell(d)[1] for d in (2, 5, 6, 7, 13, 79, 82, 105, 221, 4099)]
+    near = [invariants_shell(d)[1] for d in chain(range(9985, 10015), range(39985, 40015))
+            if is_squarefree(d)]
+    assert min(near) < _WINDOW_MAX_D <= max(near)
+    for D in small:
+        assert _window_forms(D) == _sieved_forms(D) == {
+            f for f in _brute_reduced_forms(D) if f[0] > 0}, D
+    for D in near:
+        assert _window_forms(D) == _sieved_forms(D), D
+
+
+def test_class_numbers_pinned_across_the_switch():
+    """(h, h+) of every squarefree d < 2000 and of d near both crossings of
+    _WINDOW_MAX_D (D = 4d near d = 10^4, D = d near d = 4 * 10^4), pinned
+    by a sha256 of the values computed by walking both signs of forms."""
+    ds = [d for d in chain(range(2, 2000), range(9900, 10100), range(39900, 40100))
+          if is_squarefree(d)]
+    assert {invariants_shell(d)[1] < _WINDOW_MAX_D for d in ds} == {True, False}
+    rows = [(d, *class_number(d)) for d in ds]
+    assert len(rows) == 1453
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "849f25e9311aa2ce69da94b1d9e7ce368146ca0201a1baf659f8f29e8c46d06f")

@@ -42,6 +42,23 @@ from .primes import divisors, factorize, is_prime, primes_up_to
 # Guard bits of the zeta route, on top of n.bit_length(); doubled on retry.
 _GUARD_BITS = 16
 
+# The most memory the B_{n,chi} kernel may ask for; a larger conductor is
+# refused before anything is allocated (see _kernel_bytes).
+_KERNEL_MAX_BYTES = 1 << 32
+
+
+def _kernel_bytes(f: int, top: int) -> int:
+    """About the most bytes the kernel holds at once for conductor f and
+    largest index top.  Per a < f/2: about 150 for the sieve entry, the
+    value slot and the ints a and a^2, and about 2.7 times the size of the
+    term chi(a) a^top, which has top * bits(f/2) bits: the walk holds two
+    lists of terms at once, and large ints carry allocator overhead.  Peak
+    RSS measured against this estimate: 389 against 386 MB at f = 4 * 10^5,
+    top = 297, and 140 against 181 MB at f = 2 * 10^6, top = 6.
+    """
+    half = f // 2
+    return half * (150 + top * half.bit_length() // 3)
+
 
 class BernoulliCache:
     """Exact cache of B_n and B_{n,chi} keyed by (n, discriminant-or-None).
@@ -81,6 +98,11 @@ class BernoulliCache:
             return [(n, disc, v) for (n, disc), v in sorted(
                 self._values.items(), key=lambda kv: (kv[0][1] is not None, kv[0][1] or 0, kv[0][0])
             )]
+
+    def character_count(self) -> int:
+        """The number of cached B_{n,chi}, the entries a cache file holds."""
+        with self._lock:
+            return sum(disc is not None for _n, disc in self._values)
 
     def merge(self, entries) -> None:
         """Install the (n, disc, Fraction) triples whose key is not yet present."""
@@ -165,7 +187,13 @@ class BernoulliCache:
         return self.gen_bernoulli_many((n,), chi)[0]
 
     def gen_bernoulli_many(self, ns: Sequence[int], chi: QuadChar) -> list[Fraction]:
-        """[B_{n,chi} for n in ns]; the absent ones come from one kernel pass."""
+        """[B_{n,chi} for n in ns]; the absent ones come from one kernel pass.
+
+        ValueError, before any table is built, when that pass would need
+        more than _KERNEL_MAX_BYTES: a conductor past about 3.9 * 10^6 at
+        index 297, the top index of a thm1 grid with p <= 200, or past
+        4.3 * 10^7 at index 6.
+        """
         if any(n < 0 for n in ns):
             raise ValueError("Bernoulli index must be >= 0")
         if chi.is_principal:
@@ -173,6 +201,12 @@ class BernoulliCache:
         disc = chi.discriminant
         missing = sorted({n for n in ns if (n, disc) not in self._values})
         if missing:
+            need = _kernel_bytes(chi.conductor, missing[-1])
+            if need > _KERNEL_MAX_BYTES:
+                raise ValueError(
+                    f"B_{{{missing[-1]},chi}} for conductor {chi.conductor} needs about "
+                    f"{need / 2 ** 30:.3g} GiB of kernel tables, past the bound of "
+                    f"{_KERNEL_MAX_BYTES / 2 ** 30:.3g} GiB")
             values = self._gen_bernoulli_compute(missing, chi)
             with self._lock:
                 for n, v in zip(missing, values):

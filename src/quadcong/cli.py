@@ -13,11 +13,12 @@ import argparse
 import errno
 import json
 import os
+import re
 import sys
 import time
 from contextlib import suppress
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, lgamma, log, log10
 
 from . import __version__
@@ -79,17 +80,30 @@ def _json_int(literal: str) -> int | str:
     return int(literal) if len(literal.removeprefix("-")) <= 10 else literal
 
 
+# A canonical decimal, as str(int) writes it: ASCII digits, no sign but a
+# leading minus, no leading zero, and no "-0".
+_CANONICAL_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
+
+
 def _cache_int(x, max_digits: int) -> int | None:
-    """A stored num or den: a non-bool int or a decimal string (as
+    """A stored num or den: a non-bool int or a canonical decimal string (as
     store_cache writes it, or a literal _json_int left alone), of at most
     max_digits digits.  A longer string is refused before int() reads it,
     since reading is quadratic in its length."""
     if isinstance(x, str):
-        digits = x.removeprefix("-")
-        if len(digits) <= max_digits and digits.isdecimal() and str(int(x)) == x:
+        if len(x) - x.startswith("-") <= max_digits and _CANONICAL_DECIMAL.fullmatch(x):
             return int(x)
         return None
     return x if _is_int(x) else None
+
+
+@lru_cache(maxsize=1024)
+def _discriminant_valid(disc: int) -> bool:
+    """Whether a non-bool int is the discriminant of a cache entry; memoized,
+    since a cache file repeats each discriminant over its indices."""
+    # refused before trial division: the kernel's tables for such a conductor
+    # would hold f/2 Python ints, far beyond any machine's memory
+    return abs(disc) < 2 ** 32 and is_fundamental_discriminant(disc)
 
 
 def _entry_valid(n, disc, num, den) -> bool:
@@ -99,11 +113,7 @@ def _entry_valid(n, disc, num, den) -> bool:
     and every B_{n,chi} with chi(-1) != (-1)^n are 0.  A plain entry (disc
     None) is refused, because plain B_n are never read from disk.
     """
-    if not (_is_int(n) and n >= 0 and _is_int(disc)):
-        return False
-    # refused before trial division: the kernel's tables for such a conductor
-    # would hold f/2 Python ints, far beyond any machine's memory
-    if abs(disc) >= 2 ** 32 or not is_fundamental_discriminant(disc):
+    if not (_is_int(n) and n >= 0 and _is_int(disc) and _discriminant_valid(disc)):
         return False
     if not (isinstance(num, int) and isinstance(den, int) and den > 0 and gcd(num, den) == 1):
         return False
@@ -500,23 +510,34 @@ def main(argv: list[str] | None = None) -> int:
             _check_writable(args.out)
         # the only cache load and store: a subcommand that returns, with any
         # exit code, is persisted, and so is one that is interrupted; one that
-        # raises an input or I/O error is not
+        # raises an input or I/O error is not.  The file is stored only when
+        # the run changed it: it was missing, unreadable, of another version
+        # or empty, an entry of it was dropped, or the run added an entry.
+        # on_disk counts the B_{n,chi} after the load's merge, not the
+        # accepted entries, since a file can repeat a key; -1 forces a store.
         cache_dir = getattr(args, "cache_dir", None)
         if cache_dir:
-            load_cache(cache_dir)
+            accepted, rejected = load_cache(cache_dir)
+            on_disk = -1 if rejected or not accepted else DEFAULT_CACHE.character_count()
+
+        def persist() -> None:
+            if cache_dir and DEFAULT_CACHE.character_count() > on_disk:
+                store_cache(cache_dir)
+
         try:
             code = args.func(args)
         except KeyboardInterrupt:
-            if cache_dir:
-                store_cache(cache_dir)
+            persist()
             raise
-        if cache_dir:
-            store_cache(cache_dir)
+        persist()
         return code
     except SystemExit as exc:  # argparse has printed its message; 0 after --help
         return 0 if exc.code in (0, None) else 2
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -103,9 +103,33 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_squarefree(d: int) -> bool:
+    """Whether no square of a prime divides d, by trial division up to the
+    cube root of the part m of d left undivided.
+
+    Each prime below the trial bound is divided out once, and d is not
+    squarefree if it divides again.  When the bound f has f^3 > m, every
+    prime factor of m is at least f, so m has at most two of them: m is 1,
+    a prime, a product of two distinct primes or the square of a prime, and
+    only the last is a perfect square.
+    """
     if d < 1:
         raise ValueError("is_squarefree expects a positive integer")
-    return all(e == 1 for e in factorize(d).values()) if d > 1 else True
+    m = d
+    for p in (2, 3, 5):
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return False
+    f, step = 7, 4  # the wheel over 6k+-1, as in factorize
+    while f * f * f <= m:
+        if m % f == 0:
+            m //= f
+            if m % f == 0:
+                return False
+        f += step
+        step = 6 - step
+    r = isqrt(m)
+    return m == 1 or r * r != m
 
 
 def divisors(fac: dict[int, int], limit: int) -> list[int]:

@@ -9,8 +9,9 @@ or with the congruence machinery it later gets compared against.  Only
 the reduced forms with a > 0 are enumerated, and class_number walks them
 by rho^2: the reduction step rho flips the sign of a, so each rho-cycle
 holds exactly one rho^2-orbit of them.  They come from one b-scan over
-the products (D - b^2)/4: a window test of each candidate a for D below
-_WINDOW_MAX_D, a root sieve above it.
+the products N = (D - b^2)/4: for D below _WINDOW_MAX_D a walk over the
+divisors of N, read from one process-wide table of divisor lists, and a
+root sieve above it.
 """
 from __future__ import annotations
 
@@ -129,12 +130,43 @@ def _reduction_step(form: tuple[int, int, int], D: int, s: int) -> tuple[int, in
     return c, b2, (b2 * b2 - D) // (4 * c)
 
 
-# Below this discriminant the window test is the cheaper enumeration.  Per D,
-# best of three over 20 D of each size, 2 vCPUs, CPython 3.11, window against
-# sieve: 0.04-0.07 against 0.10-0.15 ms near D = 4000, 0.29-0.31 against
-# 0.32-0.34 ms near 40000, 0.36-0.38 against 0.34-0.37 ms near 48000, and
-# 43-45 against 4.1-4.2 ms near 4 * 10^6.
+# Below this discriminant the reduced forms come from the divisor table
+# (_window_forms), above it from the root sieve.  The table walk is the
+# cheaper one at every D measured.  Per D, best of three over 20 D of each
+# size, 2 vCPUs, CPython 3.11, table walk against sieve: 0.013 against
+# 0.091 ms near D = 4000, 0.044 against 0.33 ms near 39000, and, with a
+# larger table, 0.11 against 0.74 ms near 1.6 * 10^5 and 0.35 against
+# 2.0 ms near 10^6.  So the bound marks no time crossover: it caps the
+# table, whose entry N serves every N = (D - b^2)/4 < D/4.  Its 10^4 lists
+# take about 1.7 MB; a table for D up to 10^6 would take 49 MB.
 _WINDOW_MAX_D = 40000
+_DIVISOR_TABLE_CAP = (_WINDOW_MAX_D - 1) // 4 + 1
+
+_divs: list[list[int]] = [[]]
+
+
+def _divisor_lists(n: int) -> list[list[int]]:
+    """A list whose entry N is the ascending list of the divisors of N, for
+    1 <= N <= n < _DIVISOR_TABLE_CAP.
+
+    One table serves the whole process: it is grown on demand (at least
+    doubling, never past _DIVISOR_TABLE_CAP entries) and never shrinks, so
+    the list returned may run past n.  The new entries are built aside and
+    installed in one assignment, so a concurrent reader sees the old table
+    or the new one, both correct.
+    """
+    global _divs
+    divs = _divs
+    if n < len(divs):
+        return divs
+    old = len(divs)
+    size = min(max(n + 1, 2 * old), _DIVISOR_TABLE_CAP)
+    new: list[list[int]] = [[] for _ in range(old, size)]
+    for a in range(1, size):
+        for lst in new[-(-old // a) * a - old::a]:  # the multiples of a in [old, size)
+            lst.append(a)
+    _divs = divs + new
+    return _divs
 
 
 def _reduced_forms(D: int) -> set[tuple[int, int, int]]:
@@ -142,12 +174,12 @@ def _reduced_forms(D: int) -> set[tuple[int, int, int]]:
 
     The other half of the reduced forms are their mirrors (-a, b, -c), which
     class_number never needs.  For every admissible b the middle coefficient
-    pins a*c = (b^2 - D)/4.  With s = isqrt(D), a divisor a > 0 of that
-    product with 2a <= s + b always has (2a - b)^2 < D, so it gives the
-    reduced form (a, b, c) exactly when 2a + b > s.  Two enumerations find
-    those divisors, chosen from D alone: below _WINDOW_MAX_D a window test
-    tries every a with s - b < 2a <= s + b, and above it a root sieve
-    factors all the products at once (_sieved_forms).
+    pins a*c = N = (D - b^2)/4.  With s = isqrt(D), a divisor a > 0 of N
+    with 2a <= s + b always has (2a - b)^2 < D, so it gives the reduced
+    form (a, b, c) exactly when 2a + b > s.  Two enumerations find those
+    divisors, chosen from D alone: below _WINDOW_MAX_D a walk over the
+    ascending divisors of each N (_window_forms), and above it a root sieve
+    that factors all the products at once (_sieved_forms).
     """
     if D < _WINDOW_MAX_D:
         return _window_forms(D)
@@ -155,13 +187,20 @@ def _reduced_forms(D: int) -> set[tuple[int, int, int]]:
 
 
 def _window_forms(D: int) -> set[tuple[int, int, int]]:
-    """_reduced_forms by testing each a of the window s - b < 2a <= s + b."""
+    """_reduced_forms by the divisors a of each N in the window
+    s - b < 2a <= s + b: read from the divisor table, which holds every N of
+    a D < _WINDOW_MAX_D, and found by trial division past its end."""
     s = isqrt(D)
+    divs = _divisor_lists(min((D - 1) // 4, _DIVISOR_TABLE_CAP - 1))
     forms: set[tuple[int, int, int]] = set()
     for b in range(2 - D % 2, s + 1, 2):  # b = D mod 2
         N = (D - b * b) // 4
-        for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
-            if N % a == 0:
+        lo, hi = (s - b) // 2, (s + b) // 2
+        window = divs[N] if N < len(divs) else [a for a in range(lo + 1, hi + 1) if N % a == 0]
+        for a in window:
+            if a > hi:
+                break
+            if a > lo:
                 forms.add((a, b, -(N // a)))
     return forms
 

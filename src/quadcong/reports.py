@@ -55,7 +55,19 @@ class CongruenceReport:
         return obj
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        """json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":")),
+        formatted directly: the keys in sorted order, and no field needs
+        escaping (the statement id is ASCII, the rest digits, '-' and '/')."""
+        head = '{"advisory":true,' if self.advisory else "{"
+        d = "null" if self.d is None else self.d
+        k = "null" if self.k is None else self.k
+        val = '"inf"' if self.difference_valuation == INF else int(self.difference_valuation)
+        holds = "true" if self.holds else "false"
+        return (
+            f'{head}"d":{d},"depth":{self.depth},"difference_valuation":{val},'
+            f'"holds":{holds},"k":{k},"lhs":"{rational_str(self.lhs)}","p":{self.p},'
+            f'"rhs":"{rational_str(self.rhs)}","statement":"{self.statement_id}"}}'
+        )
 
     def to_csv_row(self) -> str:
         o = self.to_json_obj()

@@ -323,6 +323,12 @@ def test_cache_version_mismatch_ignored(tmp_path):
     [{"n": 2, "disc": 5, "num": True, "den": 5}],      # bool num
     [{"n": 2, "disc": 5, "num": "4.9", "den": "5"}],   # no decimal integer string
     [{"n": 2, "disc": 5, "num": "4", "den": " 5"}],    # not as store_cache writes it
+    [{"n": 2, "disc": 5, "num": "004", "den": "5"}],   # leading zeros
+    [{"n": 2, "disc": 5, "num": "4", "den": "+5"}],    # a plus sign
+    [{"n": 2, "disc": -8, "num": "-0", "den": "1"}],   # B_{2,chi_-8} = 0 with a sign
+    [{"n": 2, "disc": 5, "num": "٤", "den": "5"}],     # ARABIC-INDIC DIGIT FOUR
+    [{"n": 2, "disc": 5, "num": "4", "den": "５"}],    # FULLWIDTH DIGIT FIVE
+    [{"n": 2, "disc": 5, "num": "4\n", "den": "5"}],   # a trailing newline
 ])
 def test_cache_drops_entries_of_the_wrong_type(tmp_path, capsys, entries):
     with open(tmp_path / CACHE_FILE, "w") as fh:
@@ -768,3 +774,118 @@ def test_failing_verdict_still_stores_the_cache(tmp_path, capsys):
     accepted, rejected = load_cache(str(tmp_path), fresh)
     assert accepted and not rejected
     assert (fresh.get(3, -8), fresh.get(9, -8)) == (9, -2256633)
+
+
+def _scan_in_a_fresh_interpreter(cache_dir, *argv) -> bytes:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "quadcong.cli", *argv, "--cache-dir", str(cache_dir)],
+                          env=env, capture_output=True, check=True).stdout
+
+
+def _file_state(path: Path) -> tuple[bytes, int, int]:
+    stat = path.stat()
+    return path.read_bytes(), stat.st_mtime_ns, stat.st_ino
+
+
+def test_warm_scan_leaves_the_cache_file_untouched(tmp_path):
+    """A scan that adds no entry to a file it read whole does not store it:
+    bytes, st_mtime_ns and inode stay, and the report is the cold one."""
+    argv = ("scan", "thm1", "--d-max", "300", "--p-max", "50")
+    cold = _scan_in_a_fresh_interpreter(tmp_path, *argv)
+    before = _file_state(tmp_path / CACHE_FILE)
+    assert json.loads(before[0])["entries"]
+    assert _scan_in_a_fresh_interpreter(tmp_path, *argv) == cold
+    assert _file_state(tmp_path / CACHE_FILE) == before
+
+
+def _cache_file(path: Path, entries: list[dict]) -> tuple[bytes, int, int]:
+    path.write_text(json.dumps({"version": CACHE_VERSION, "entries": entries}))
+    return _file_state(path)
+
+
+def _stored_keys(path: Path) -> list[tuple[int, int]]:
+    return [(e["n"], e["disc"]) for e in json.loads(path.read_text())["entries"]]
+
+
+B2_CHI5 = {"n": 2, "disc": 5, "num": "4", "den": "5"}
+
+
+def test_a_run_that_adds_an_entry_rewrites_the_cache_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / CACHE_FILE
+    before = _cache_file(path, [B2_CHI5])
+    _fresh_default_cache(monkeypatch)
+    assert run_cli(capsys, "bernoulli", "--n", "2", "--disc", "5", "--cache-dir", str(tmp_path))[0] == 0
+    assert _file_state(path) == before
+    _fresh_default_cache(monkeypatch)
+    assert run_cli(capsys, "bernoulli", "--n", "4", "--disc", "5", "--cache-dir", str(tmp_path))[0] == 0
+    assert _file_state(path) != before
+    assert _stored_keys(path) == [(2, 5), (4, 5)]
+
+
+def test_a_run_that_dropped_an_entry_rewrites_the_cache_file(tmp_path, capsys, monkeypatch):
+    """The run adds nothing, but the file it loaded had an entry rejected."""
+    path = tmp_path / CACHE_FILE
+    before = _cache_file(path, [B2_CHI5, {"n": 4, "disc": 5, "num": "1", "den": "0"}])
+    _fresh_default_cache(monkeypatch)
+    code, _, err = run_cli(capsys, "bernoulli", "--n", "2", "--disc", "5", "--cache-dir", str(tmp_path))
+    assert code == 0 and "dropped 1" in err
+    assert _file_state(path) != before
+    assert _stored_keys(path) == [(2, 5)]
+
+
+def test_a_run_that_adds_an_entry_to_a_file_with_a_repeated_key_rewrites_it(
+        tmp_path, capsys, monkeypatch):
+    """A repeated key is accepted twice but held once, so the file's
+    accepted count equals its entry count after one more entry is added:
+    the count compared is the cache's after the load's merge."""
+    path = tmp_path / CACHE_FILE
+    before = _cache_file(path, [B2_CHI5, B2_CHI5])
+    assert load_cache(str(tmp_path), BernoulliCache()) == (2, 0)
+    _fresh_default_cache(monkeypatch)
+    assert run_cli(capsys, "bernoulli", "--n", "2", "--disc", "5", "--cache-dir", str(tmp_path))[0] == 0
+    assert _file_state(path) == before
+    _fresh_default_cache(monkeypatch)
+    assert run_cli(capsys, "bernoulli", "--n", "4", "--disc", "5", "--cache-dir", str(tmp_path))[0] == 0
+    assert _file_state(path) != before
+    assert _stored_keys(path) == [(2, 5), (4, 5)]
+
+
+def test_canonical_decimal_pattern_keeps_the_round_trip_rule():
+    """The pattern accepts exactly the strings the former rule did: decimal
+    digits after an optional minus that int() reads back to the same string."""
+    from hypothesis import given, strategies as st
+
+    from quadcong.cli import _cache_int
+
+    def round_trip_rule(x: str) -> bool:
+        digits = x.removeprefix("-")
+        return len(digits) <= 20 and digits.isdecimal() and str(int(x)) == x
+
+    @given(st.text(alphabet="0123456789-+ .\n٤５", max_size=8))
+    def check(x):
+        assert (_cache_int(x, 20) is not None) == round_trip_rule(x), x
+
+    check()
+
+
+def test_verify_refuses_a_conductor_past_the_kernel_bound(capsys):
+    """Table 1 row 2's psi has conductor 45765155864, whose kernel tables
+    would hold about 2.3 * 10^10 ints: refused before any is allocated, as
+    an input error (exit 2), well within a second."""
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "super-aacm", "--d", "125854178626", "--p", "11")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: B_{15,chi} for conductor 45765155864 needs about")
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    import quadcong.cli as cli_module
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "run_instance", exhausted)
+    code, out, err = run_cli(capsys, "verify", "thm1", "--d", "14", "--p", "7")
+    assert code == 2 and out == ""
+    assert err == "error: out of memory\n"

@@ -1,4 +1,7 @@
-from quadcong.primes import divisors, factorize, is_prime, primes_up_to, smallest_prime_factors
+from math import isqrt
+
+from quadcong.primes import (divisors, factorize, is_prime, is_squarefree, primes_up_to,
+                             smallest_prime_factors)
 
 
 def test_is_prime_agrees_with_the_sieve():
@@ -22,3 +25,17 @@ def test_shared_sieve_grows_and_stays_correct():
     for a in range(2, len(big)):
         q = big[a]
         assert a % q == 0 and is_prime(q) and all(a % s for s in range(2, q)), a
+
+
+def test_is_squarefree_agrees_with_the_factorization():
+    """Every n below 2 * 10^5, and products of two or three large primes with
+    and without a repeated factor, against the exponents of factorize."""
+    for n in range(1, 200_000):
+        assert is_squarefree(n) == all(e == 1 for e in factorize(n).values()), n
+    p, q, r = 4462771, 336508499, 1_000_003
+    for n, squarefree in ((p * q, True), (p * p, False), (3 * p * p, False), (p * q * r, True),
+                          (p * r * r, False), (q * q * r, False), (20256129307923, True),
+                          (125854178626, True), (4 * 20256129307923, False)):
+        assert is_squarefree(n) == squarefree, n
+    assert [n for n in range(1, 50) if is_squarefree(n)] == [
+        n for n in range(1, 50) if all(n % (k * k) for k in range(2, isqrt(n) + 1))]

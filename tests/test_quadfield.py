@@ -7,7 +7,9 @@ import pytest
 
 from quadcong.quadfield import (
     FieldInvariants,
+    _DIVISOR_TABLE_CAP,
     _WINDOW_MAX_D,
+    _divisor_lists,
     _reduced_forms,
     _reduction_step,
     _sieve_factored_bscan,
@@ -276,3 +278,19 @@ def test_class_numbers_pinned_across_the_switch():
     assert len(rows) == 1453
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "849f25e9311aa2ce69da94b1d9e7ce368146ca0201a1baf659f8f29e8c46d06f")
+
+
+def test_divisor_table_stays_within_its_cap():
+    """Class numbers on both sides of _WINDOW_MAX_D leave the process-wide
+    divisor table no longer than its cap, which serves every (D - b^2)/4 of
+    a D below the bound; each entry lists the divisors of its index in
+    ascending order."""
+    assert _DIVISOR_TABLE_CAP == (_WINDOW_MAX_D - 1) // 4 + 1
+    for d in chain(range(9990, 10010), range(39990, 40010)):
+        if is_squarefree(d):
+            class_number.__wrapped__(d)
+            assert len(quadfield._divs) <= _DIVISOR_TABLE_CAP, d
+    divs = _divisor_lists(_DIVISOR_TABLE_CAP - 1)
+    assert len(divs) == _DIVISOR_TABLE_CAP
+    for N in chain(range(1, 200), range(_DIVISOR_TABLE_CAP - 200, _DIVISOR_TABLE_CAP)):
+        assert divs[N] == [a for a in range(1, N + 1) if N % a == 0], N

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 from importlib import import_module
@@ -8,8 +9,9 @@ from quadcong.bernoulli import BernoulliCache, bernoulli
 from quadcong.characters import QuadChar, split_character
 from quadcong.cli import store_cache
 from quadcong.lseries import a1_closed_quadratic, lp1_via_class_number, lp_interp_value, wilson_quotient
-from quadcong.padic import vp
+from quadcong.padic import INF, vp
 from quadcong.quadfield import class_number, field_invariants, fundamental_unit, is_squarefree, vp_u
+from quadcong.reports import make_report
 from quadcong.suite import (
     AAC_CLASSICAL,
     COR_EXACT_DIV,
@@ -511,3 +513,23 @@ def test_phase_one_failure_leaves_the_rows_to_report_it(monkeypatch):
     result = scan(ScanConfig(statement=THM1, d_max=60, p_max=13))
     assert result.errors and all("kernel refused" in e for e in result.errors)
     assert result.reports and all(r.d == r.p for r in result.reports)  # only principal psi rows got through
+
+
+def test_json_lines_are_the_lines_json_dumps_writes():
+    """to_json_line, which formats its line directly, gives the bytes of
+    json.dumps(to_json_obj(), sort_keys=True, separators=(",", ":")) on the
+    rows of all eight statements, an advisory p = 5 THM1 row and failing
+    rows among them, and on a detector row whose valuation is inf."""
+    rows = []
+    for statement in STATEMENTS:
+        rows += scan(ScanConfig(statement=statement, d_max=150, p_min=3, p_max=31, k_max=3,
+                                include_p5=True)).reports
+    assert {r.statement_id for r in rows} == set(STATEMENTS)
+    assert any(r.statement_id == THM1 and r.p == 5 and r.advisory for r in rows)
+    assert any(not r.holds for r in rows)
+    b9 = Fraction(-2256633)
+    rows.append(make_report(SUPER_AACM_CRIT, b9, b9, 7, depth=2, d=14))
+    assert rows[-1].difference_valuation == INF and rows[-1].holds
+    for r in rows:
+        assert r.to_json_line() == json.dumps(r.to_json_obj(), sort_keys=True,
+                                              separators=(",", ":")), r

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .primes import is_prime, is_squarefree, smallest_prime_factors
+from .quadfield import invariants_shell
 
 
 def kronecker(a: int, n: int) -> int:
@@ -153,11 +154,8 @@ def split_character(d: int, p: int) -> CharacterSplit:
         raise ValueError(f"split needs a prime p > 3, got {p}")
     if d <= 1 or d % p != 0:
         raise ValueError(f"p = {p} must divide d = {d}")
-    if not is_squarefree(d):
-        raise ValueError(f"d = {d} is not squarefree")
+    delta, D = invariants_shell(d)
     m = d // p
-    delta = 1 if d % 4 == 1 else 2
-    D = delta * delta * d
     pstar = p if p % 4 == 1 else -p
     dm, rem = divmod(D, pstar)
     if rem:

@@ -5,7 +5,10 @@ finished cleanly), 1 a congruence check failed, 2 usage, input or I/O
 error (an unreadable config, an unwritable --out or cache directory).
 Report rows go to stdout (or --out) as JSON-lines or CSV with rationals
 serialized exactly; the run manifest goes to stderr so that the report
-stream stays byte-for-byte reproducible.
+stream stays byte-for-byte reproducible.  There is one parser: the
+key=value lines of a --config file become flags right after the
+subcommand, so each value is checked as a typed flag is, and a typed
+flag wins.
 """
 from __future__ import annotations
 
@@ -258,8 +261,6 @@ def scan_exit_code(statement: str, verdicts: list[tuple[bool, bool]], n_errors: 
 def _cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     st = REGISTRY[_STATEMENT_NAMES[args.statement]]
-    if args.p is None:
-        raise ValueError("--p is required")
     for flag, takes in (("d", st.takes_d), ("k", st.takes_k)):
         if takes != (getattr(args, flag) is not None):
             need = "needs" if takes else "does not take"
@@ -380,35 +381,22 @@ def _echo_config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The CLI parser, with the defaults of the --config file named in argv.
-
-    Without --config every call returns the same parser, built once per
-    process.  A --config file rewrites defaults and `required` on the
-    parser it is installed in, so that parser is built fresh every time.
-    """
-    path = _config_path(argv or [])
-    return _plain_parser() if path is None else _new_parser(path)
-
-
 @cache
-def _plain_parser() -> argparse.ArgumentParser:
-    return _new_parser(None)
-
-
-def _new_parser(config_path: str | None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and never changed; a --config
+    file reaches it as argv (_config_argv)."""
     parser = argparse.ArgumentParser(
         prog="quadcong",
         description="Exact verification of quadratic-field and Wilson-quotient congruences",
     )
     parser.add_argument("--config", default=None,
-                        help="key=value file supplying flag defaults (flags win)")
+                        help="key=value file supplying flags after the subcommand (typed flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="check one statement instance")
     pv.add_argument("statement", choices=sorted(_STATEMENT_NAMES))
     pv.add_argument("--d", type=int, default=None)
-    pv.add_argument("--p", type=int, default=None)
+    pv.add_argument("--p", type=int, required=True)
     pv.add_argument("--k", type=int, default=None)
     pv.set_defaults(func=_cmd_verify)
 
@@ -448,8 +436,6 @@ def _new_parser(config_path: str | None) -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "csv"), default="json")
     for sp in (pv, ps, pb, pl):
         sp.add_argument("--cache-dir", default=None, help="directory for the Bernoulli cache")
-    if config_path is not None:
-        _install_config(config_path, sub.choices)
     return parser
 
 
@@ -461,43 +447,49 @@ def _config_pre_parser() -> argparse.ArgumentParser:
     return pre
 
 
-def _config_path(argv: list[str]) -> str | None:
-    """The --config value as the main parser reads it: `--config FILE`,
-    `--config=FILE` or an abbreviation, before the subcommand.  A malformed
-    use yields None and is left for the main parser to report."""
-    try:
-        return _config_pre_parser().parse_known_args(argv)[0].config
-    except argparse.ArgumentError:
-        return None
+def _config_argv(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """argv with the --config file's lines inserted right after the subcommand,
+    so the parser checks each value as it checks a typed flag, and a typed
+    flag, which comes later, wins.
 
-
-def _install_config(path: str, subcommands: dict[str, argparse.ArgumentParser]) -> None:
-    """Make each key=value line of the --config file at `path` the default
-    of that flag in every subcommand that has it; explicit flags still win.
-
-    argparse converts a string default through the flag's `type`.  A switch
-    (`store_true`) is turned on by true, 1 or yes.  A bad file raises ValueError.
+    The file is named as the parser reads it: `--config FILE`, `--config=FILE`
+    or an abbreviation, before the subcommand; a malformed use is left for the
+    parser to report.  Each key=value line becomes `--key=value`, or `--key`
+    for a switch (`store_true`), which takes true, 1 or yes.  It is inserted
+    only if the subcommand has the flag; a key no subcommand has, like a bad
+    file, raises ValueError.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        pre = _config_pre_parser().parse_known_args(argv)[0]
+    except argparse.ArgumentError:
+        return argv
+    if pre.config is None:
+        return argv
+    try:
+        with open(pre.config, "r", encoding="utf-8") as fh:
             pairs = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]
     except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {pre.config}: {exc}") from exc
+    subcommands = next(a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    command = pre.rest[0] if pre.rest else None
+    tokens = []
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"malformed config line {pair!r}")
         key, value = (part.strip() for part in pair.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        owners = [(sp, action) for sp in subcommands.values() for action in sp._actions
-                  if flag in action.option_strings and action.default is not argparse.SUPPRESS]
+        owners = {name: action for name, sp in subcommands.items() for action in sp._actions
+                  if flag in action.option_strings and action.default is not argparse.SUPPRESS}
         if not owners:
             raise ValueError(f"config key {key!r} is not a flag of any subcommand")
-        for sp, action in owners:
-            switch = action.nargs == 0
-            if switch and value.lower() not in ("true", "1", "yes"):
-                raise ValueError(f"config switch {key!r} takes true, 1 or yes")
-            sp.set_defaults(**{action.dest: True if switch else value})
-            action.required = False
+        switch = any(action.nargs == 0 for action in owners.values())
+        if switch and value.lower() not in ("true", "1", "yes"):
+            raise ValueError(f"config switch {key!r} takes true, 1 or yes")
+        if command in owners:
+            tokens.append(flag if switch else f"{flag}={value}")
+    at = len(argv) - len(pre.rest) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -505,7 +497,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser(argv).parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(_config_argv(argv, parser))
         if args.out:
             _check_writable(args.out)
         # the only cache load and store: a subcommand that returns, with any

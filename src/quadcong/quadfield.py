@@ -50,8 +50,13 @@ def _cf_states(d: int, s: int, delta: int) -> Iterator[tuple[int, int, int]]:
         Q = (d - P * P) // Q
 
 
-def _product_tree(mats: list) -> tuple:
-    """Product of 2x2 matrices given as (A, B, C, E) tuples, left to right."""
+def _product_tree(quotients: list[int]) -> tuple:
+    """Product of the partial-quotient matrices ((a, 1), (1, 0)) over
+    `quotients`, left to right, as an (A, B, C, E) tuple: neighbours are
+    paired as (a b + 1, a, b, 1), and the pairs multiplied in a balanced tree."""
+    mats = [(a * b + 1, a, b, 1) for a, b in zip(quotients[::2], quotients[1::2])]
+    if len(quotients) % 2:
+        mats.append((quotients[-1], 1, 1, 0))
     while len(mats) > 1:
         nxt = []
         for i in range(0, len(mats) - 1, 2):
@@ -72,8 +77,8 @@ def fundamental_unit(d: int) -> UnitData:
     The expansion of (1+sqrt d)/2 resp. sqrt d becomes purely periodic from
     its second complete quotient beta; the cycle matrix (product of the
     partial-quotient matrices over one period) applied to beta gives the
-    unit, with norm (-1)^period.  Batched into a balanced product so the
-    multi-thousand-digit convergents of large d stay cheap.  Memoized by d
+    unit, with norm (-1)^period.  One balanced product tree over the period
+    keeps the multi-thousand-digit convergents of large d cheap.  Memoized by d
     for the life of the process.
     """
     delta, _D = invariants_shell(d)
@@ -81,20 +86,13 @@ def fundamental_unit(d: int) -> UnitData:
     states = _cf_states(d, s, delta)
     next(states)  # the aperiodic head a_0
     P1, Q1, a1 = next(states)
-    batch: list[tuple] = [(a1, 1, 1, 0)]
-    stack: list[tuple] = []
-    period = 1
+    quotients = [a1]
     for P, Q, a in states:
         if (P, Q) == (P1, Q1):
             break
-        batch.append((a, 1, 1, 0))
-        period += 1
-        if len(batch) >= 2048:
-            stack.append(_product_tree(batch))
-            batch = []
-    if batch:
-        stack.append(_product_tree(batch))
-    _A, _B, C, E = _product_tree(stack) if len(stack) > 1 else stack[0]
+        quotients.append(a)
+    period = len(quotients)
+    _A, _B, C, E = _product_tree(quotients)
     x = C * P1 + E * Q1
     y = C
     if delta == 2:

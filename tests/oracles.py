@@ -17,6 +17,7 @@ Machin formula.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -218,14 +219,16 @@ def pell_min_solution(d: int, u_stop: int | None = None):
 _PELL_EXACT_RANGE = 200_000
 
 
-def pell_solutions_upto(d: int, u_max: int):
+@cache
+def pell_solutions_upto(d: int, u_max: int) -> tuple[tuple[int, int, int], ...]:
     """All (t, u, norm) with u <= u_max; exact scan first, filtered scan above.
 
     Up to u = 2*10^5 every u is checked exactly.  Beyond that a float
     filter keeps u with frac(u sqrt d) within 1e-4 of an integer; a true
     solution deviates by at most 2/u < 1e-5 there and the float error is
     below 1e-5, so no solution can slip through, and each candidate is
-    verified exactly before being reported.
+    verified exactly before being reported.  Memoized, as a tuple, because
+    two tests search the same (d, u_max).
     """
     tgt = 4 if d % 4 == 1 else 1
 
@@ -241,7 +244,7 @@ def pell_solutions_upto(d: int, u_max: int):
     for u in range(1, min(u_max, _PELL_EXACT_RANGE) + 1):
         out.extend(exact_hits(u))
     if u_max <= _PELL_EXACT_RANGE:
-        return out
+        return tuple(out)
     sq = np.sqrt(np.float64(d))
     chunk = 1 << 22
     lo = _PELL_EXACT_RANGE + 1
@@ -253,7 +256,7 @@ def pell_solutions_upto(d: int, u_max: int):
         for i in np.nonzero((frac < 1e-4) | (frac > 1 - 1e-4))[0]:
             out.extend(exact_hits(int(lo + i)))
         lo = hi + 1
-    return out
+    return tuple(out)
 
 
 # -- ideal-theoretic class number oracle --------------------------------------

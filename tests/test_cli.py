@@ -475,15 +475,71 @@ def test_calls_without_config_share_one_parser(monkeypatch, capsys):
 
     built = []
     build = cli_module.build_parser
-    monkeypatch.setattr(cli_module, "build_parser", lambda argv=None: built.append(build(argv)) or built[-1])
+    monkeypatch.setattr(cli_module, "build_parser", lambda: built.append(build()) or built[-1])
     for argv in (["bernoulli", "--n", "4"], ["lfun", "--p", "7"]):
         assert run_cli(capsys, *argv)[0] == 0
     assert len(built) == 2 and built[0] is built[1]
 
 
+def test_config_calls_share_the_parser_and_leave_it_unchanged(tmp_path, monkeypatch, capsys):
+    """A --config call and the calls before and after it get the same
+    parser, and its `required` flags and defaults are what they were."""
+    import argparse
+
+    import quadcong.cli as cli_module
+
+    def settings(parser):
+        subs = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return [(name, a.dest, a.required, a.default)
+                for name, sp in sorted(subs.items()) for a in sp._actions]
+
+    built = []
+    build = cli_module.build_parser
+    monkeypatch.setattr(cli_module, "build_parser", lambda: built.append(build()) or built[-1])
+    before = settings(build())
+    conf = tmp_path / "every.conf"
+    conf.write_text("n=4\np=13\nformat=csv\nk-max=1\ninclude-p5=yes\n")
+    for argv in (["bernoulli", "--n", "4"],
+                 ["--config", str(conf), "bernoulli"],
+                 ["--config", str(conf), "verify", "aac"],
+                 ["--config", str(conf), "scan", "lehmer2", "--p-max", "13"],
+                 ["lfun", "--p", "7"]):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    assert len(built) == 5 and all(b is built[0] for b in built)
+    assert settings(built[0]) == before
+    assert run_cli(capsys, "verify", "aac")[0] == 2  # --p is still required
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "{}", "verify", "aac", "--p", "13"],
+    ["verify", "aac", "--p", "13", "--format", "xml"],
+], ids=["config", "flag"])
+def test_config_value_is_checked_as_a_typed_flag(tmp_path, capsys, argv):
+    """format=xml in a --config file is refused as --format xml is."""
+    conf = tmp_path / "x.conf"
+    conf.write_text("format=xml\n")
+    code, out, err = run_cli(capsys, *[a.format(conf) for a in argv])
+    assert code == 2 and out == ""
+    assert "argument --format: invalid choice: 'xml'" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("include-p5=no\n", "config switch 'include-p5' takes true, 1 or yes"),
+    ("p-max 40\n", "malformed config line 'p-max 40'"),
+    ("p-max=forty\n", "argument --p-max: invalid int value: 'forty'"),
+    (None, "cannot read config file"),
+])
+def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
+    conf = tmp_path / "bad.conf"
+    if text is not None:
+        conf.write_text(text)
+    code, out, err = run_cli(capsys, "--config", str(conf), "scan", "lehmer2")
+    assert code == 2 and out == "" and message in err
+
+
 def test_config_call_leaves_later_calls_as_a_fresh_interpreter_runs_them(tmp_path, capsys):
-    """A --config parser gets the file's defaults and loses `required`; the
-    calls around it use the shared parser, which keeps neither."""
+    """The file's flags reach only the --config call; the calls around it
+    give what a fresh interpreter gives."""
     conf = tmp_path / "scan.conf"
     conf.write_text("k-max=1\nn=12\n")
     argv = ["scan", "lehmer2", "--p-max", "13"]

@@ -30,10 +30,8 @@ from .bernoulli import (
 )
 from .quadfield import (
     ClassNumber,
-    FieldInvariants,
     UnitData,
     class_number,
-    field_invariants,
     fundamental_unit,
     invariants_shell,
     is_squarefree,

@@ -123,20 +123,25 @@ def char_values(chi: QuadChar, n: int) -> list[int]:
 class CharacterSplit:
     """Factorization chi_D = (./p) * psi of the character of Q(sqrt(d)), d = p*m.
 
-    psi is the primitive quadratic character of conductor delta^2 * m,
-    obtained by dividing the field discriminant D by p* = (-1)^((p-1)/2) p.
+    psi is the primitive quadratic character of discriminant D/p*, p* =
+    (-1)^((p-1)/2) p.  For squarefree d = p m with p not dividing m, p*
+    divides D and psi has conductor delta^2 * m by construction; tests pin
+    both laws.  chi_d is built only when read.
     """
 
     d: int
     p: int
     m: int
     delta: int
-    chi_d: QuadChar
     psi: QuadChar
 
     @property
     def D(self) -> int:
         return self.delta * self.delta * self.d
+
+    @property
+    def chi_d(self) -> QuadChar:
+        return QuadChar(self.D)
 
     @property
     def r(self) -> int:
@@ -155,13 +160,5 @@ def split_character(d: int, p: int) -> CharacterSplit:
     if d <= 1 or d % p != 0:
         raise ValueError(f"p = {p} must divide d = {d}")
     delta, D = invariants_shell(d)
-    m = d // p
     pstar = p if p % 4 == 1 else -p
-    dm, rem = divmod(D, pstar)
-    if rem:
-        raise ValueError(f"discriminant {D} not divisible by p* = {pstar}")
-    chi_d = QuadChar(D)
-    psi = QuadChar(dm)
-    if psi.conductor != delta * delta * m:
-        raise ValueError(f"split of (d={d}, p={p}) produced conductor {psi.conductor}")
-    return CharacterSplit(d=d, p=p, m=m, delta=delta, chi_d=chi_d, psi=psi)
+    return CharacterSplit(d=d, p=p, m=d // p, delta=delta, psi=QuadChar(D // pstar))

@@ -35,7 +35,7 @@ from .lseries import (
 )
 from .padic import vp
 from .primes import factorize
-from .quadfield import field_invariants
+from .quadfield import class_number, fundamental_unit, vp_u
 from .reports import CSV_HEADER, CongruenceReport, rational_str
 from .suite import DETECTORS, REGISTRY, ScanConfig, run_instance, scan
 
@@ -309,19 +309,20 @@ def _cmd_table1(args: argparse.Namespace) -> int:
                                     sort_keys=True))
             continue
         fac_got = factorize(d)
-        inv = field_invariants(d)
-        v_got = vp(inv.u, p)
-        ok = fac_got == fac and inv.h == h_ref and v_got == vpu_ref
+        unit = fundamental_unit(d)
+        h = class_number(d).h
+        v_got = vp_u(d, p)
+        ok = fac_got == fac and h == h_ref and v_got == vpu_ref
         lines.append(json.dumps({
             "d": d,
             "factorization": {str(q): e for q, e in sorted(fac_got.items())},
-            "h": inv.h,
+            "h": h,
             "h_expected": h_ref,
             "p": p,
             "vp_u": v_got,
             "vp_u_expected": vpu_ref,
-            "u_bits": inv.u.bit_length(),
-            "cf_period": inv.cf_period,
+            "u_bits": unit.u.bit_length(),
+            "cf_period": unit.cf_period,
             "match": ok,
         }, sort_keys=True))
         passed += int(ok)
@@ -357,7 +358,7 @@ def _cmd_lfun(args: argparse.Namespace) -> int:
         bundle = a_coefficients_direct(split.chi_d, p)
         closed1 = a1_closed_quadratic(split)
         obj = {
-            "character": f"quadratic disc {split.chi_d.discriminant}",
+            "character": f"quadratic disc {split.D}",
             "d": args.d,
             "psi_disc": split.psi.discriminant,
         }

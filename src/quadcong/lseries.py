@@ -21,7 +21,7 @@ from .bernoulli import bernoulli, gen_bernoulli, gen_bernoulli_many
 from .characters import CharacterSplit, QuadChar, char_values
 from .padic import fermat_quotient, unit_log_series, vp
 from .primes import is_prime, primes_up_to
-from .quadfield import FieldInvariants
+from .quadfield import class_number, fundamental_unit
 
 
 @dataclass(frozen=True)
@@ -175,19 +175,16 @@ def lp_interp_value(n: int, split: CharacterSplit) -> Fraction:
     return Fraction((psi(p) * p ** (n - 1) - 1) * b.numerator, n * b.denominator)
 
 
-def lp1_via_class_number(inv: FieldInvariants, p: int) -> Fraction:
-    """Depth-2 surrogate for L_p(1, chi_D) from the class number and unit.
+def lp1_via_class_number(d: int, p: int) -> Fraction:
+    """Depth-2 surrogate for L_p(1, chi_D) from the class number and unit of Q(sqrt d).
 
-    (2h/delta) * (u/t + (d/3)(u/t)^3).  Requires p | d and p coprime to t;
-    p | t would contradict the unit's defining norm equation at p | d, so
-    it is treated as data corruption rather than a soft error.
+    (2h/delta) * (u/t + (d/3)(u/t)^3), read from the memoized class_number
+    and fundamental_unit records.  Requires p | d.  Then p does not divide
+    t: fundamental_unit asserts delta^2 (t^2 - d u^2) = +-4, which p | t
+    would contradict.
     """
-    if inv.d % p != 0:
-        raise ValueError(f"p = {p} does not divide d = {inv.d}")
-    if inv.t % p == 0:
-        raise ArithmeticError(
-            f"p = {p} divides t for d = {inv.d}: impossible for a unit at p | d; "
-            "the invariants record is corrupt"
-        )
-    series = unit_log_series(inv.d, inv.t, inv.u, 1)
-    return Fraction(2 * inv.h * series.numerator, inv.delta * series.denominator)
+    if d % p != 0:
+        raise ValueError(f"p = {p} does not divide d = {d}")
+    unit = fundamental_unit(d)
+    series = unit_log_series(d, unit.t, unit.u)
+    return Fraction(2 * class_number(d).h * series.numerator, unit.delta * series.denominator)

@@ -7,7 +7,7 @@ rational difference.  Floating point is never consulted.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm
+from math import inf
 
 from .primes import is_prime
 
@@ -62,23 +62,14 @@ def fermat_quotient(a: int, p: int) -> int:
     return (pow(a, p - 1) - 1) // p
 
 
-def unit_log_series(d: int, t: int, u: int, n_max: int) -> Fraction:
-    """Truncated series sum_{n<=n_max} d^n/(2n+1) * (u/t)^(2n+1).
+def unit_log_series(d: int, t: int, u: int) -> Fraction:
+    """The cubic kernel u/t + (d/3)(u/t)^3 = u (3 t^2 + d u^2) / (3 t^3).
 
-    This is the initial segment of log(fundamental unit)/sqrt(d) for the
-    unit (delta/2)(t + u*sqrt(d)); with n_max = 1 it is the cubic kernel
-    u/t + (d/3)(u/t)^3 appearing on the unit side of the main congruence.
+    These are the terms n = 0, 1 of log(fundamental unit)/sqrt(d) =
+    sum_n d^n/(2n+1) * (u/t)^(2n+1) for the unit (delta/2)(t + u*sqrt(d)),
+    the unit side of the main congruence.  For p | d, p > 5 the later terms
+    have v_p >= 2, so the depth-2 congruence cuts the series here.
     """
     if t == 0:
         raise ValueError("unit_log_series needs t != 0")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    # over the common denominator lcm(1, 3, .., 2 n_max + 1) t^(2 n_max + 1):
-    # u sum_n (lcm/(2n+1)) (d u^2)^n (t^2)^(n_max - n), summed Horner-wise in t^2
-    L = lcm(*range(1, 2 * n_max + 2, 2))
-    t2, du2 = t * t, d * u * u
-    acc, power = 0, 1
-    for n in range(n_max + 1):
-        acc = acc * t2 + (L // (2 * n + 1)) * power
-        power *= du2
-    return Fraction(u * acc, L * t ** (2 * n_max + 1))
+    return Fraction(u * (3 * t * t + d * u * u), 3 * t ** 3)

@@ -12,10 +12,13 @@ holds exactly one rho^2-orbit of them.  They come from one b-scan over
 the products N = (D - b^2)/4: for D below _WINDOW_MAX_D a walk over the
 divisors of N, read from one process-wide table of divisor lists, and a
 root sieve above it.
+
+Each fact has one owner, memoized by d: invariants_shell holds (delta, D),
+fundamental_unit the unit and class_number (h, h+).  The checks read these
+records directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import isqrt
 from typing import Iterator, NamedTuple
@@ -24,8 +27,13 @@ from .padic import vp
 from .primes import divisors, is_squarefree, primes_up_to, sqrt_mod_prime
 
 
+@cache
 def invariants_shell(d: int) -> tuple[int, int]:
-    """(delta, D): delta = 1 iff d = 1 mod 4, discriminant D = delta^2 d."""
+    """(delta, D): delta = 1 iff d = 1 mod 4, discriminant D = delta^2 d.
+
+    The one squarefreeness decision per d behind the unit, the class number
+    and the character split; memoized by d for the life of the process.
+    """
     if d <= 1 or not is_squarefree(d):
         raise ValueError(f"d = {d} must be a squarefree integer > 1")
     delta = 1 if d % 4 == 1 else 2
@@ -303,28 +311,3 @@ def class_number(d: int) -> ClassNumber:
     if h_plus % 2:
         raise AssertionError(f"narrow class number {h_plus} should be even when N(eps) = +1")
     return ClassNumber(h=h_plus // 2, h_plus=h_plus)
-
-
-@dataclass(frozen=True)
-class FieldInvariants:
-    """Joint record of the invariants of Q(sqrt d)."""
-
-    d: int
-    delta: int
-    t: int
-    u: int
-    h: int
-    cf_period: int
-
-
-def field_invariants(d: int) -> FieldInvariants:
-    """The invariants of Q(sqrt d).
-
-    The read path of every check that needs the unit or the class number,
-    built from their two memoized results only.
-    """
-    unit = fundamental_unit(d)
-    return FieldInvariants(
-        d=d, delta=unit.delta, t=unit.t, u=unit.u, h=class_number(d).h,
-        cf_period=unit.cf_period,
-    )

@@ -27,12 +27,11 @@ from multiprocessing import get_context
 from typing import Callable, Iterator
 
 from .bernoulli import DEFAULT_CACHE, bernoulli, gen_bernoulli_many
-from .characters import CharacterSplit, QuadChar, split_character
+from .characters import CharacterSplit, split_character
 from .lseries import (a0_closed_principal, a1_closed_principal, lp1_via_class_number,
                       lp_interp_value, wilson_quotient)
-from .padic import vp
 from .primes import is_prime, is_squarefree, primes_up_to
-from .quadfield import field_invariants, vp_u
+from .quadfield import class_number, fundamental_unit, vp_u
 from .reports import CongruenceReport, make_report
 
 AAC_CLASSICAL = "AAC_CLASSICAL"
@@ -61,9 +60,9 @@ def check_aac_classical(p: int) -> CongruenceReport:
     """Depth-1 congruence 2 h u / t = -B_r / r (mod p) for prime d = p = 1 mod 4."""
     if p < 5 or p % 4 != 1 or not is_prime(p):
         raise ValueError(f"need a prime p = 1 mod 4, p >= 5; got {p}")
-    inv = field_invariants(p)
+    unit = fundamental_unit(p)
     r = (p - 1) // 2
-    lhs = Fraction(2 * inv.h * inv.u, inv.t)
+    lhs = Fraction(2 * class_number(p).h * unit.u, unit.t)
     rhs = -bernoulli(r) / r
     return make_report(AAC_CLASSICAL, lhs, rhs, p, depth=1, d=p)
 
@@ -81,7 +80,7 @@ def check_theorem1(d: int, p: int) -> CongruenceReport:
     """
     split = _require_split_shape(d, p, p_floor=3)
     r = split.r
-    lhs = 2 * lp1_via_class_number(field_invariants(d), p)
+    lhs = 2 * lp1_via_class_number(d, p)
     _, b3r = gen_bernoulli_many((r, 3 * r), split.psi)  # lp_interp_value reads B_r back
     lp = lp_interp_value(r, split)
     # 3 lp + b3r/(3r) over the denominator 3r lp_den b3r_den
@@ -98,12 +97,12 @@ def check_corollary_exact_division(d: int, p: int) -> CongruenceReport:
     is meaningful.
     """
     split = _require_split_shape(d, p, p_floor=5)
-    inv = field_invariants(d)
-    v = vp(inv.u, p)
+    v = vp_u(d, p)
     if v != 1:
         raise ValueError(f"statement needs v_p(u) = 1; v_{p}(u) = {v} for d = {d}")
+    unit = fundamental_unit(d)
     r = split.r
-    lhs = Fraction(2 * inv.h * inv.u, inv.delta * p * inv.t)
+    lhs = Fraction(2 * class_number(d).h * unit.u, unit.delta * p * unit.t)
     br, b3r = gen_bernoulli_many((r, 3 * r), split.psi)
     # (3 br - b3r/3)/p over the denominator 3p br_den b3r_den
     rhs = Fraction(9 * br.numerator * b3r.denominator - b3r.numerator * br.denominator,
@@ -307,32 +306,32 @@ def _worker(instance: tuple):
         return None, None, f"{instance}: {exc}"
 
 
-def _kernel_jobs(instances: list[tuple]) -> list[tuple[int, list[int]]]:
-    """(psi discriminant, sorted r and 3r over its rows) for each non-principal
+def _kernel_jobs(instances: list[tuple]) -> list[tuple]:
+    """(psi, sorted r and 3r over its rows) for each non-principal
     character psi of the (d, p) instances, largest conductor times top index
     first.  A principal psi has no job: its rows read plain B_n.
 
     psi(-1) = (-1)^r, so all indices of one psi share its parity and one
     kernel walk up to the largest serves them all.
     """
-    wanted: dict[int, set[int]] = {}
+    wanted: dict = {}
     for _, d, p, _ in instances:
         try:
             split = split_character(d, p)
         except Exception:  # the row raises again in phase 2 and lands in errors
             continue
         if not split.psi.is_principal:
-            wanted.setdefault(split.psi.discriminant, set()).update((split.r, 3 * split.r))
-    return sorted(((disc, sorted(ns)) for disc, ns in wanted.items()),
-                  key=lambda job: abs(job[0]) * job[1][-1], reverse=True)
+            wanted.setdefault(split.psi, set()).update((split.r, 3 * split.r))
+    return sorted(((psi, sorted(ns)) for psi, ns in wanted.items()),
+                  key=lambda job: job[0].conductor * job[1][-1], reverse=True)
 
 
-def _kernel_worker(job: tuple[int, list[int]]) -> list[tuple[int, int, Fraction]]:
+def _kernel_worker(job: tuple) -> list[tuple[int, int, Fraction]]:
     """Phase 1 for one character: its (n, disc, B_{n,psi}) triples, or [] if
     the kernel raises; the rows then report the failure."""
-    disc, ns = job
+    psi, ns = job
     try:
-        return [(n, disc, v) for n, v in zip(ns, gen_bernoulli_many(ns, QuadChar(disc)))]
+        return [(n, psi.discriminant, v) for n, v in zip(ns, gen_bernoulli_many(ns, psi))]
     except Exception:
         return []
 

@@ -2,6 +2,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quadcong.characters import (
     CharacterSplit,
@@ -170,3 +171,21 @@ def test_split_parity_law():
             s = split_character(d, p)
             assert s.psi(-1) == (-1) ** s.r, (d, p)
             assert s.psi.conductor == s.delta ** 2 * s.m
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), p=st.sampled_from([q for q in primes_up_to(1000) if q >= 5]))
+def test_split_laws_for_large_d(data, p):
+    """For squarefree d = p m up to 10^12: p* divides D, psi has conductor
+    delta^2 m and parity (-1)^r, and chi_D is the character of D.  The split
+    relies on the first two without checking them at run time."""
+    m = data.draw(st.integers(1, 10 ** 12 // p), label="m")
+    d = p * m
+    assume(m % p != 0 and is_squarefree(d))
+    s = split_character(d, p)
+    pstar = p if p % 4 == 1 else -p
+    assert (s.delta, s.m, s.D) == ((1 if d % 4 == 1 else 2), m, s.delta ** 2 * d)
+    assert s.psi.discriminant * pstar == s.D
+    assert s.psi.conductor == s.delta ** 2 * m
+    assert s.chi_d.discriminant == s.D
+    assert s.psi(-1) == (-1) ** s.r

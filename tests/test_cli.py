@@ -412,10 +412,10 @@ def test_entry_valid_bounds_the_discriminant_before_factoring_it(tmp_path):
     t0 = time.perf_counter()
     assert not _entry_valid(2, p * q, 1, 1)
     assert time.perf_counter() - t0 < 0.01
-    disc, ns = max(_kernel_jobs(build_instances(ScanConfig(THM1, d_max=2000, p_max=200))),
-                   key=lambda job: abs(job[0]))
+    psi, ns = max(_kernel_jobs(build_instances(ScanConfig(THM1, d_max=2000, p_max=200))),
+                  key=lambda job: job[0].conductor)
     cache = BernoulliCache()
-    assert cache.gen_bernoulli(ns[0], QuadChar(disc))
+    assert cache.gen_bernoulli(ns[0], psi)
     store_cache(str(tmp_path), cache)
     assert load_cache(str(tmp_path), BernoulliCache()) == (1, 0)
 

@@ -16,7 +16,7 @@ from quadcong.lseries import (
 )
 from quadcong.padic import vp
 from quadcong.primes import is_prime
-from quadcong.quadfield import FieldInvariants, field_invariants, is_squarefree
+from quadcong.quadfield import is_squarefree
 
 from oracles import a_coefficients_literal, stirling_poly_row
 from lemmas import (
@@ -220,18 +220,10 @@ def test_zeta_star_euler_factor_depth():
 
 
 def test_lp1_via_class_number():
-    assert lp1_via_class_number(field_invariants(14), 7) == Fraction(3596, 10125)
-    assert lp1_via_class_number(field_invariants(10), 5) == Fraction(74, 81)
+    assert lp1_via_class_number(14, 7) == Fraction(3596, 10125)
+    assert lp1_via_class_number(10, 5) == Fraction(74, 81)
     with pytest.raises(ValueError):
-        lp1_via_class_number(field_invariants(10), 3)
-
-
-def test_lp1_flags_p_dividing_t():
-    corrupt = FieldInvariants(
-        d=14, delta=2, t=7, u=4, h=1, cf_period=4,
-    )
-    with pytest.raises(ArithmeticError):
-        lp1_via_class_number(corrupt, 7)
+        lp1_via_class_number(10, 3)
 
 
 def test_series_congruences_quadratic():

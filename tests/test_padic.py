@@ -162,11 +162,11 @@ def test_log_surrogate_additive_mod_p3():
 
 
 def test_unit_log_series_values():
-    assert unit_log_series(10, 3, 1, 1) == Fraction(37, 81)
-    assert unit_log_series(14, 15, 4, 1) == Fraction(3596, 10125)
-    assert unit_log_series(14, 15, 0, 5) == 0
+    assert unit_log_series(10, 3, 1) == Fraction(37, 81)
+    assert unit_log_series(14, 15, 4) == Fraction(3596, 10125)
+    assert unit_log_series(14, 15, 0) == 0
     with pytest.raises(ValueError):
-        unit_log_series(10, 0, 1, 1)
+        unit_log_series(10, 0, 1)
 
 
 def test_unit_log_series_tail_valuations():

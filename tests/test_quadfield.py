@@ -6,7 +6,6 @@ from math import isqrt
 import pytest
 
 from quadcong.quadfield import (
-    FieldInvariants,
     _DIVISOR_TABLE_CAP,
     _WINDOW_MAX_D,
     _divisor_lists,
@@ -16,7 +15,6 @@ from quadcong.quadfield import (
     _sieved_forms,
     _window_forms,
     class_number,
-    field_invariants,
     fundamental_unit,
     invariants_shell,
     is_squarefree,
@@ -198,12 +196,11 @@ def test_vp_u():
 
 
 def test_field_invariants():
-    inv = field_invariants(14)
-    assert isinstance(inv, FieldInvariants)
-    assert (inv.delta, inv.t, inv.u, inv.h) == (2, 15, 4, 1)
-    assert inv.u.bit_length() == 3
+    unit = fundamental_unit(14)
+    assert (unit.delta, unit.t, unit.u, class_number(14).h) == (2, 15, 4, 1)
+    assert unit.u.bit_length() == 3
     with pytest.raises(ValueError):
-        field_invariants(12)
+        fundamental_unit(12)
 
 
 def test_memoized_invariants_raise_on_every_call_for_bad_d():

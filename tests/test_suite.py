@@ -10,7 +10,7 @@ from quadcong.characters import QuadChar, split_character
 from quadcong.cli import store_cache
 from quadcong.lseries import a1_closed_quadratic, lp1_via_class_number, lp_interp_value, wilson_quotient
 from quadcong.padic import INF, vp
-from quadcong.quadfield import class_number, field_invariants, fundamental_unit, is_squarefree, vp_u
+from quadcong.quadfield import class_number, fundamental_unit, invariants_shell, is_squarefree, vp_u
 from quadcong.reports import make_report
 from quadcong.suite import (
     AAC_CLASSICAL,
@@ -37,6 +37,7 @@ from oracles import gen_bernoulli_series
 
 bernoulli_module = import_module("quadcong.bernoulli")  # `from quadcong import bernoulli` is the function
 suite_module = import_module("quadcong.suite")
+characters_module = import_module("quadcong.characters")
 _row_worker = suite_module._worker
 
 
@@ -234,9 +235,8 @@ def test_soundness_link_two_evaluation_paths():
     bug in either route cannot hide."""
     for d, p in ((14, 7), (21, 7), (65, 5), (33, 11), (26, 13)):
         rep = check_theorem1(d, p)
-        inv = field_invariants(d)
         split = split_character(d, p)
-        assert rep.lhs == 2 * lp1_via_class_number(inv, p)
+        assert rep.lhs == 2 * lp1_via_class_number(d, p)
         assert rep.rhs == 2 * (
             lp_interp_value(split.r, split) - split.r * a1_closed_quadratic(split)
         )
@@ -250,9 +250,8 @@ def test_integration_identity_small_grid():
             d = p * m
             if d <= 5 or m % p == 0 or not is_squarefree(d):
                 continue
-            inv = field_invariants(d)
             split = split_character(d, p)
-            lhs = lp1_via_class_number(inv, p)
+            lhs = lp1_via_class_number(d, p)
             rhs = lp_interp_value(split.r, split) - split.r * a1_closed_quadratic(split)
             assert vp(lhs - rhs, p) >= 2, (d, p)
 
@@ -300,14 +299,24 @@ def test_scan_reports_come_in_sorted_instance_order(statement, include_p5):
     assert keys == sorted(keys)
 
 
-def test_scan_computes_each_field_invariant_once_per_d():
-    fundamental_unit.cache_clear()
-    class_number.cache_clear()
+def test_scan_computes_each_field_invariant_once_per_d(monkeypatch):
+    """One unit, one class number and one squarefreeness decision of the
+    shell per d.  The only characters a serial scan builds are the rows' psi,
+    one per row: none of a field discriminant D is built to be checked."""
+    real = characters_module.is_fundamental_discriminant
+    asked = []
+    monkeypatch.setattr(characters_module, "is_fundamental_discriminant",
+                        lambda n: asked.append(n) or real(n))
+    for memo in (fundamental_unit, class_number, invariants_shell, split_character):
+        memo.cache_clear()
     result = scan(ScanConfig(statement=THM1, d_max=300, p_max=50))
     distinct_d = {r.d for r in result.reports}
     assert len(result.reports) > len(distinct_d)  # some d carry two primes
     assert fundamental_unit.cache_info().misses == len(distinct_d)
     assert class_number.cache_info().misses == len(distinct_d)
+    assert invariants_shell.cache_info().misses == len(distinct_d)
+    psis = [split_character(r.d, r.p).psi for r in result.reports]
+    assert sorted(asked) == sorted(psi.discriminant for psi in psis if not psi.is_principal)
 
 
 def test_scan_serial_and_parallel_agree():
@@ -365,8 +374,7 @@ def test_worker_error_aggregation():
     report, v, err = _worker((AAC_CLASSICAL, None, 13, None))
     assert err is None and report.holds and v is None
     # phase 1 returns its values, and nothing for a character it cannot build
-    assert _kernel_worker((-8, [3, 9])) == [(3, -8, 9), (9, -8, -2256633)]
-    assert _kernel_worker((6, [2])) == []
+    assert _kernel_worker((QuadChar(-8), [3, 9])) == [(3, -8, 9), (9, -8, -2256633)]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -421,7 +429,7 @@ def test_kernel_index_rows_stay_out_of_the_cache_and_are_built_once(monkeypatch,
     fresh = BernoulliCache()
     fresh._rows = _RecordingDict()
     assert phase_one(fresh) == phase_one(reference)
-    live = {n for disc, ns in jobs for n in ns if QuadChar(disc).parity == (-1) ** n}
+    live = {n for psi, ns in jobs for n in ns if psi.parity == (-1) ** n}
     assert sorted(fresh._rows.written) == sorted(live)
     monkeypatch.setattr(bernoulli_module, "DEFAULT_CACHE", fresh)
     monkeypatch.setattr(suite_module, "DEFAULT_CACHE", fresh)
